@@ -4,8 +4,8 @@ The benches use deliberately modest dataset sizes (see
 ``repro.experiments.config``) so that a full ``pytest benchmarks/
 --benchmark-only`` run finishes in a few minutes while still exercising every
 code path of the corresponding experiment.  Each bench prints the series its
-figure plots; EXPERIMENTS.md records a reference run next to the paper's
-numbers.
+figure plots; measured end-to-end runs come from the ``beasbench`` benchmark
+(see ``beasbench/README.md``).
 """
 
 from __future__ import annotations

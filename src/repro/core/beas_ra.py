@@ -22,6 +22,7 @@ is covered by ``ξ_α(D)`` within ``d'``, so by the triangle inequality
 from __future__ import annotations
 
 from ..access.schema import AccessSchema
+from ..accuracy.rc import max_coverage_distance
 from ..algebra.ast import QueryNode
 from ..algebra.spc import maximal_induced_query
 from ..errors import QueryError
@@ -71,37 +72,14 @@ def refine_bound_with_induced(
     induced = maximal_induced_query(query)
     induced_answers = executor.evaluate(induced)
 
-    d_rel, d_cov = distance_bounds(query, plan.resolution_map(), database.schema)
-    _, induced_cov = distance_bounds(induced, plan.resolution_map(), database.schema)
+    resolutions = plan.resolution_map()
+    d_rel, _ = distance_bounds(query, resolutions, database.schema)
+    _, induced_cov = distance_bounds(induced, resolutions, database.schema)
 
+    # d' = max over induced answers of the distance to the nearest answer:
+    # 0 when there are no induced answers, ∞ when there are no answers.
     schema = query.output_schema(database.schema)
-    distances = [attribute.distance for attribute in schema.attributes]
-
-    if len(induced_answers) == 0:
-        d_prime = 0.0
-    elif len(answers) == 0:
-        d_prime = INFINITY
-    else:
-        d_prime = 0.0
-        answer_rows = list(answers.rows)
-        for induced_row in induced_answers:
-            best = INFINITY
-            for answer_row in answer_rows:
-                worst_attr = 0.0
-                for a, b, dist in zip(answer_row, induced_row, distances):
-                    value = dist(a, b)
-                    if value > worst_attr:
-                        worst_attr = value
-                    if worst_attr >= best:
-                        break
-                if worst_attr < best:
-                    best = worst_attr
-                if best == 0.0:
-                    break
-            if best > d_prime:
-                d_prime = best
-            if d_prime == INFINITY:
-                break
+    d_prime = max_coverage_distance(induced_answers, answers, schema)
 
     if d_prime == INFINITY:
         return 0.0

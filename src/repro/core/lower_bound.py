@@ -13,14 +13,21 @@ plan's answers, derived inductively over the query structure:
 * ``π``, ``×`` — combine children; coverage is bounded by the worst
   resolution among attributes visible in the output;
 * ``Q1 ∪ Q2`` — worst of the two sides;
-* ``Q1 − Q2`` — bounds of ``Q1`` (the executed guard never *adds* error to
-  the surviving answers; the extra coverage term ``d' + d̂_cov`` of BEAS_RA is
+* ``Q1 − Q2`` — worst of the two sides as well (the paper keeps only
+  ``Q1``'s bounds; the extra coverage term ``d' + d̂_cov`` of BEAS_RA is
   applied after execution, Section 6);
 * ``gpBy(Q', X, min/max(V))`` — inherits ``Q'``'s bounds; for
   ``sum``/``count``/``avg`` the aggregate-value error cannot be bounded by
   resolutions alone, so the bound covers the group-key attributes (the
   paper's Corollary 7 likewise only carries the guarantees of Theorem 6 over
   to ``min``/``max``).
+
+Every case is the maximum resolution over one set of qualified attributes
+that depends on the query alone — or over every fetched attribute, for a
+node the induction does not know.  :func:`bound_attributes` compiles that
+set once; :func:`worst_resolution` then scores any resolution map against
+it without walking the query again, which is what lets chAT score each
+candidate upgrade in time linear in the plan's steps.
 
 Because every template upgrade lowers some resolution, ``L`` is monotone in
 the chosen levels — exactly the property chAT's greedy ascent relies on — and
@@ -29,8 +36,9 @@ monotone in α (Theorems 5(3) and 6(4)).
 
 from __future__ import annotations
 
-from typing import Mapping, Set, Tuple
+from typing import FrozenSet, Mapping, Optional, Set, Tuple
 
+from ..algebra.aggregates import AggregateFunction
 from ..algebra.ast import (
     Difference,
     GroupBy,
@@ -44,10 +52,6 @@ from ..algebra.ast import (
     resolve_attribute,
 )
 from ..relational.schema import DatabaseSchema
-
-
-def _attribute_resolution(qualified: str, resolutions: Mapping[str, float]) -> float:
-    return float(resolutions.get(qualified, 0.0))
 
 
 def _collect_selection_attributes(node: QueryNode, db_schema: DatabaseSchema) -> Set[str]:
@@ -65,39 +69,34 @@ def _collect_selection_attributes(node: QueryNode, db_schema: DatabaseSchema) ->
 
 
 def _collect_output_attributes(node: QueryNode, db_schema: DatabaseSchema) -> Set[str]:
-    """Qualified attributes visible in the query output (before aggregates)."""
-    if isinstance(node, GroupBy):
-        child_schema = node.child.output_schema(db_schema)
-        names = {resolve_attribute(child_schema, ref) for ref in node.group_columns}
-        names.add(resolve_attribute(child_schema, node.agg_column))
-        return names
+    """Qualified attributes visible in the output of an SPC node."""
     try:
         return set(node.output_schema(db_schema).attribute_names)
     except Exception:
         return set()
 
 
-def distance_bounds(
-    node: QueryNode,
-    resolutions: Mapping[str, float],
-    db_schema: DatabaseSchema,
-) -> Tuple[float, float]:
-    """Upper bounds ``(d_rel, d_cov)`` for a query under given fetch resolutions."""
-    if isinstance(node, Union):
-        left = distance_bounds(node.left, resolutions, db_schema)
-        right = distance_bounds(node.right, resolutions, db_schema)
-        return max(left[0], right[0]), max(left[1], right[1])
-    if isinstance(node, Difference):
-        # The paper inherits the bounds of the positive side and corrects the
-        # coverage after execution (BEAS_RA).  We additionally fold in the
-        # negated side's bounds: the set-difference guard removes answers
-        # within the *negated* side's fetch resolution, so a coarse negated
-        # side hurts coverage — folding it in keeps the bound sound (it only
-        # gets more conservative) and lets chAT spend budget on the negated
-        # side where that pays off.
-        left = distance_bounds(node.left, resolutions, db_schema)
-        right = distance_bounds(node.right, resolutions, db_schema)
-        return max(left[0], right[0]), max(left[1], right[1])
+def bound_attributes(node: QueryNode, db_schema: DatabaseSchema) -> Optional[FrozenSet[str]]:
+    """The qualified attributes whose worst resolution bounds ``d_rel`` and ``d_cov``.
+
+    ``None`` stands for every fetched attribute (the unknown-node fallback).
+    The set depends on the query only, so callers that score many resolution
+    maps for one query (chAT) compile it once.
+    """
+    if isinstance(node, (Union, Difference)):
+        # Worst of the two sides.  For a difference the paper inherits the
+        # bounds of the positive side and corrects the coverage after
+        # execution (BEAS_RA).  We additionally fold in the negated side's
+        # bounds: the set-difference guard removes answers within the
+        # *negated* side's fetch resolution, so a coarse negated side hurts
+        # coverage — folding it in keeps the bound sound (it only gets more
+        # conservative) and lets chAT spend budget on the negated side where
+        # that pays off.
+        left = bound_attributes(node.left, db_schema)
+        right = bound_attributes(node.right, db_schema)
+        if left is None or right is None:
+            return None
+        return left | right
     if isinstance(node, GroupBy):
         # Group-by answers expose the group-key attributes plus one aggregate
         # value.  The bound tracks the resolutions of the group keys, the
@@ -106,29 +105,37 @@ def distance_bounds(
         child_schema = node.child.output_schema(db_schema)
         selection_attrs = _collect_selection_attributes(node.child, db_schema)
         output_attrs = {resolve_attribute(child_schema, ref) for ref in node.group_columns}
-        from ..algebra.aggregates import AggregateFunction
-
         if node.aggregate is not AggregateFunction.COUNT:
             output_attrs.add(resolve_attribute(child_schema, node.agg_column))
-        d_rel = 0.0
-        d_cov = 0.0
-        for qualified in selection_attrs | output_attrs:
-            value = _attribute_resolution(qualified, resolutions)
-            d_rel = max(d_rel, value)
-            d_cov = max(d_cov, value)
-        return d_rel, d_cov
+        return frozenset(selection_attrs | output_attrs)
     if isinstance(node, (Project, Rename, Select, Product, Scan)):
         selection_attrs = _collect_selection_attributes(node, db_schema)
         output_attrs = _collect_output_attributes(node, db_schema)
-        d_rel = 0.0
-        for qualified in selection_attrs | output_attrs:
-            d_rel = max(d_rel, _attribute_resolution(qualified, resolutions))
-        d_cov = 0.0
-        for qualified in output_attrs | selection_attrs:
-            d_cov = max(d_cov, _attribute_resolution(qualified, resolutions))
-        return d_rel, d_cov
-    # Unknown node: fall back to the worst resolution anywhere.
-    worst = max(resolutions.values(), default=0.0)
+        return frozenset(selection_attrs | output_attrs)
+    return None
+
+
+def worst_resolution(
+    attributes: Optional[FrozenSet[str]], resolutions: Mapping[str, float]
+) -> float:
+    """The largest resolution over ``attributes`` (every attribute for ``None``)."""
+    if attributes is None:
+        return max(resolutions.values(), default=0.0)
+    worst = 0.0
+    for qualified in attributes:
+        value = float(resolutions.get(qualified, 0.0))
+        if value > worst:
+            worst = value
+    return worst
+
+
+def distance_bounds(
+    node: QueryNode,
+    resolutions: Mapping[str, float],
+    db_schema: DatabaseSchema,
+) -> Tuple[float, float]:
+    """Upper bounds ``(d_rel, d_cov)`` for a query under given fetch resolutions."""
+    worst = worst_resolution(bound_attributes(node, db_schema), resolutions)
     return worst, worst
 
 

@@ -80,7 +80,7 @@ class Accessor:
             return 0.0
         if attribute in self.family.x:
             return 0.0
-        return float(self.family.resolution(self.level).get(attribute, 0.0))
+        return self.family.resolution_of(self.level, attribute)
 
     def resolution(self) -> Dict[str, float]:
         """Resolutions of all Y attributes."""
@@ -93,7 +93,7 @@ class Accessor:
         """Whether this accessor fetches values with zero error."""
         if self.constraint:
             return True
-        return all(v == 0.0 for v in self.family.resolution(self.level).values())
+        return all(self.family.resolution_of(self.level, a) == 0.0 for a in self.family.y)
 
     def fetch(self, x_value: Sequence[object], meter=None):
         """Fetch the sample for one ``X``-value (delegates to the index)."""
