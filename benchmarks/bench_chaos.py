@@ -1,12 +1,13 @@
-"""Chaos soak: deterministic fault injection across every backend × executor.
+"""Chaos soak: deterministic fault injection across every backend × shard executor.
 
 The contract under test is the paper's graceful-degradation promise applied
 to *failure* instead of load: a fault may cost served α or latency, never
 correctness or availability.  With a seeded fault plan killing process
 workers mid-query (``parallel.worker.kill`` at a configurable probability,
 plus jittering ``parallel.worker.slow`` sleeps), every storage backend ×
-shard-executor combination must keep each query either **bit-identical** to
-its pre-computed serial reference or failing with a **typed**
+shard executor (``serial`` and ``process``) combination must keep each
+query either **bit-identical** to its pre-computed serial reference or
+failing with a **typed**
 :exc:`~repro.errors.ReproError` — never a wrong answer, never a hang past
 the dispatch deadline budget.  After the plan is cleared, the process path
 must *heal itself*: the soak asserts the circuit breaker returns to
@@ -51,6 +52,7 @@ from repro.relational.distance import NUMERIC, TRIVIAL  # noqa: E402
 from repro.relational.relation import Relation  # noqa: E402
 from repro.relational.schema import Attribute, RelationSchema  # noqa: E402
 from repro.relational.store import (  # noqa: E402
+    EXECUTOR_MODES,
     get_shard_executor,
     get_shard_workers,
     list_backends,
@@ -119,7 +121,7 @@ def soak_combo(backend: str, executor: str, rows, queries: int, kill_p: float) -
 
     # A query is a hang if it outlives every legitimate bounded path:
     # (retries + 1) rounds against the dispatch deadline, plus margin for
-    # pool respawns and the thread fallback actually computing the answer.
+    # pool respawns and the serial fallback actually computing the answer.
     deadline = parallel.get_dispatch_deadline()
     rounds = parallel.get_dispatch_retries() + 1
     hang_budget = deadline * rounds + 30.0
@@ -238,7 +240,7 @@ def run(rows: int, queries: int, kill_p: float, smoke: bool) -> dict:
     # about resilience, not speedup, so force a small worker pool.
     set_shard_workers(max(2, previous_workers))
     process_ok = parallel.probe_process_executor()
-    executors = ("serial", "thread", "process") if process_ok else ("serial", "thread")
+    executors = EXECUTOR_MODES if process_ok else ("serial",)
     combos = []
     data = make_rows(rows)
     # Small cooldown/backoff so a tripped breaker reaches its half-open
@@ -268,6 +270,7 @@ def run(rows: int, queries: int, kill_p: float, smoke: bool) -> dict:
         ),
         "plan": chaos_plan(kill_p),
         "process_executor_available": process_ok,
+        "executors": list(executors),
         "combos": combos,
         "serving": serving,
         "summary": {
@@ -285,11 +288,22 @@ def run(rows: int, queries: int, kill_p: float, smoke: bool) -> dict:
 def check_report(report: dict) -> list:
     """Structural + contract assertions over a chaos report; returns problems."""
     problems = []
-    for key in ("benchmark", "plan", "combos", "serving", "summary"):
+    for key in ("benchmark", "plan", "executors", "combos", "serving", "summary"):
         if key not in report:
             problems.append(f"missing section {key!r}")
     if problems:
         return problems
+    # Exactly the surviving executors are soaked: serial always, process
+    # whenever the platform can run worker processes.
+    expected = list(EXECUTOR_MODES) if report.get("process_executor_available") else ["serial"]
+    if report["executors"] != expected:
+        problems.append(f"soaked executors {report['executors']} != {expected}")
+    cells: dict = {}
+    for record in report["combos"]:
+        cells.setdefault(record.get("backend"), []).append(record.get("executor"))
+    for backend, soaked in cells.items():
+        if soaked != expected:
+            problems.append(f"{backend}: soaked executors {soaked} != {expected}")
     for record in report["combos"]:
         where = f"{record.get('backend')}×{record.get('executor')}"
         for key in (

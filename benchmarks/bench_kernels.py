@@ -31,7 +31,7 @@ Part 4 sweeps the **shard executors** (`repro.relational.store.set_shard_executo
 at several worker counts over a large range-partitioned sharded relation:
 ``parallel_mask_eval`` (the fused-mask engine through ``Store.eval_mask``)
 and ``parallel_radius_batch`` (the radius kernel's ``matches_many`` batch
-API) each record serial / thread / process seconds per worker count —
+API) each record serial / process seconds per worker count —
 process mode publishes the shard buffers to shared memory once and ships
 only programs/parameters per query.  Every record carries an
 ``executor_config`` block (executor, workers, cpu_count) so entries from
@@ -61,19 +61,17 @@ the per-relation restart cost the RAM-resident backends pay;
 ``mmap`` backend next to the in-RAM ``column`` backend on identical
 data, pinning the steady-state cost of reading through a file mapping.
 
-Part 7 measures what sticky shard→worker **affinity routing**
-(:func:`repro.relational.store.set_shard_affinity`) buys on the
-kernel-index workloads: with routing off, a repeat batch query lands on
-whichever pool worker grabs it, so warm per-worker caches (decoded
-shard stores, KD-trees, nearest-neighbour indexes) miss and rebuild;
-with routing on, every shard's work returns to its rendezvous-home
-worker and repeat queries run entirely against warm caches.
-``affinity_kd_radius`` / ``affinity_nn_batch`` record cold and warm
-(mean-of-repeats) batch latency in both modes plus the warm speedup;
+Part 7 measures what sticky shard→worker **affinity routing** (the
+process executor's only dispatch path) buys on the kernel-index
+workloads: every shard's work returns to its rendezvous-home worker, so
+repeat batch queries run entirely against warm per-worker caches
+(decoded shard stores, KD-trees, nearest-neighbour indexes).
+``affinity_kd_radius`` / ``affinity_nn_batch`` record the cold first
+batch (pool spawn + publication + index builds, from a fully cold pool)
+against the warm mean of the repeats, plus their ratio;
 ``affinity_select_gather`` audits the fused select+gather operator —
 one boundary crossing per fused call, exact payload bytes returned.
-Both modes are cross-checked against the serial reference, and each
-mode starts from a fully cold pool (``parallel.shutdown()``).
+Every batch is cross-checked against the serial reference.
 
 ``--backends`` restricts which storage backends parts 2–3 and 6 exercise
 (comma-separated, e.g. ``--backends row,sharded``; part 1 is
@@ -560,30 +558,24 @@ COLUMNAR_ENGINE_OPS = {
 
 
 # ---------------------------------------------------------------------------
-# Shard executors: serial vs thread vs process over shared-memory buffers
+# Shard executors: serial vs process over shared-memory buffers
 # ---------------------------------------------------------------------------
 
 PARALLEL_SCALE = 100_000
 PARALLEL_SHARDS = 4
 PARALLEL_WORKER_COUNTS = (1, 2, 4)
 PARALLEL_QUERY_COUNT = 1_000
-EXECUTOR_SWEEP = ("serial", "thread", "process")
 
 
 def executor_config() -> dict:
     """The pinned executor/worker configuration a record was measured under."""
     import os
 
-    from repro.relational.store import (
-        get_shard_affinity,
-        get_shard_executor,
-        get_shard_workers,
-    )
+    from repro.relational.store import get_shard_executor, get_shard_workers
 
     return {
         "executor": get_shard_executor(),
         "workers": get_shard_workers(),
-        "affinity": get_shard_affinity(),
         "cpu_count": os.cpu_count(),
     }
 
@@ -613,12 +605,13 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
     shard buffers to shared memory and spawns the pool, so the timed runs
     measure the steady state the executor is designed for — per query, only
     the compiled program / the query parameters cross the process boundary.
-    Every executor's results are cross-checked against the serial reference,
-    so the sweep doubles as a three-way differential test.
+    Process results are cross-checked against the serial reference, so the
+    sweep doubles as a differential test.
     """
     from repro.relational import parallel
     from repro.relational.kernels import RadiusMatcher
     from repro.relational.store import (
+        EXECUTOR_MODES,
         get_shard_executor,
         set_shard_executor,
         set_shard_workers,
@@ -655,7 +648,7 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
             reference_mask = None
             reference_hits = None
             configs = {}
-            for mode in EXECUTOR_SWEEP:
+            for mode in EXECUTOR_MODES:
                 set_shard_executor(mode)
                 configs[mode] = executor_config()
                 # Warm-up: publishes shared-memory segments / spawns the
@@ -669,7 +662,7 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
                 mask_seconds[mode] = seconds
                 if reference_mask is None:
                     reference_mask = warm_mask
-                assert bytes(masks[0]) == reference_mask  # three-way differential
+                assert bytes(masks[0]) == reference_mask  # serial/process differential
 
                 matcher = RadiusMatcher.from_store(
                     store, radius_positions, radius_distances, radius_slack
@@ -692,16 +685,12 @@ def bench_parallel_section(size: int, queries: int, worker_counts) -> list:
                         "workers": workers,
                         "queries": queries,
                         "serial_seconds": round(seconds["serial"], 6),
-                        "thread_seconds": round(seconds["thread"], 6),
                         "process_seconds": round(seconds["process"], 6),
-                        "process_vs_thread": round(
-                            seconds["thread"] / max(seconds["process"], 1e-9), 2
-                        ),
                         "process_vs_serial": round(
                             seconds["serial"] / max(seconds["process"], 1e-9), 2
                         ),
-                        # At 1 worker, process (and thread) mode falls back
-                        # to the sequential path by design; flag whether the
+                        # At 1 worker, process mode falls back to the
+                        # serial path by design; flag whether the
                         # process pool genuinely executed the timed leg so
                         # cross-record comparisons don't read a fallback
                         # measurement as a real process data point.
@@ -724,24 +713,20 @@ AFFINITY_SCALE = 40_000
 AFFINITY_SHARDS = 4
 AFFINITY_REPEATS = 3
 AFFINITY_BATCH = 6
-AFFINITY_MODES = ("off", "on")
 
 
 def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
-    """Warm repeat-query latency with affinity routing off vs on.
+    """Cold versus warm repeat-query latency under affinity routing.
 
     The workloads are the kernel-index batches — exactly where worker-side
     caches carry real state: a KD-forest radius batch (each worker builds
     one KD-tree per shard it serves) and a nearest-neighbour batch (bucket
-    map + per-bucket trees).  Protocol, per workload × mode: start from a
-    fully cold pool (``parallel.shutdown()``), pay one untimed-separately
-    *cold* batch (pool spawn + shared-memory publication + first index
-    build), then time ``repeats`` identical batches and record their mean
-    as the *warm* number.  With routing off the shared pool hands a
-    shard's task to whichever worker grabs it, so early repeats keep
-    paying store decodes and index rebuilds on cache-cold workers; with
-    routing on every shard's task returns to its rendezvous-home worker
-    and repeats rebuild nothing.  Workers == shards so stickiness, not
+    map + per-bucket trees).  Protocol, per workload: start from a fully
+    cold pool (``parallel.shutdown()``), time one *cold* batch (pool spawn
+    + shared-memory publication + first index build), then time
+    ``repeats`` identical batches and record their mean as the *warm*
+    number.  Every shard's task returns to its rendezvous-home worker, so
+    repeats rebuild nothing.  Workers == shards so stickiness, not
     parallelism, is what's being measured (``cpu_count`` is recorded, as
     in part 4).  Every answer is cross-checked against the serial
     reference, and the fused select+gather record additionally audits the
@@ -754,9 +739,7 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
     from repro.relational.kernels import ShardedNearestNeighbors
     from repro.relational.store import (
         ShardedStore,
-        get_shard_affinity,
         get_shard_executor,
-        set_shard_affinity,
         set_shard_executor,
         set_shard_workers,
     )
@@ -782,7 +765,6 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
     program = SELECTION_CONDITION.program(WIDE_SCHEMA)
 
     previous_mode = get_shard_executor()
-    previous_affinity = get_shard_affinity()
     previous_workers = set_shard_workers(AFFINITY_SHARDS)
     records = []
     try:
@@ -793,20 +775,15 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
 
         set_shard_executor("process")
         for name, fn in workloads:
-            timings = {}
-            for mode in AFFINITY_MODES:
-                set_shard_affinity(mode)
-                parallel.shutdown()  # cold pool, cold worker caches
-                cold_seconds, out = _timed(fn)
-                assert out == references[name]  # two-mode differential
-                warm_total = 0.0
-                for _ in range(repeats):
-                    seconds, out = _timed(fn)
-                    assert out == references[name]
-                    warm_total += seconds
-                timings[mode] = (cold_seconds, warm_total / repeats)
-            off_cold, off_warm = timings["off"]
-            on_cold, on_warm = timings["on"]
+            parallel.shutdown()  # cold pool, cold worker caches
+            cold_seconds, out = _timed(fn)
+            assert out == references[name]  # serial/process differential
+            warm_total = 0.0
+            for _ in range(repeats):
+                seconds, out = _timed(fn)
+                assert out == references[name]
+                warm_total += seconds
+            warm_seconds = warm_total / repeats
             records.append(
                 {
                     "kernel": name,
@@ -815,17 +792,14 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
                     "workers": AFFINITY_SHARDS,
                     "queries": AFFINITY_BATCH,
                     "repeats": repeats,
-                    "off_cold_seconds": round(off_cold, 6),
-                    "off_warm_seconds": round(off_warm, 6),
-                    "on_cold_seconds": round(on_cold, 6),
-                    "on_warm_seconds": round(on_warm, 6),
-                    "warm_speedup": round(off_warm / max(on_warm, 1e-9), 2),
+                    "cold_seconds": round(cold_seconds, 6),
+                    "warm_seconds": round(warm_seconds, 6),
+                    "warm_speedup": round(cold_seconds / max(warm_seconds, 1e-9), 2),
                     "executor_config": executor_config(),
                 }
             )
 
         # Fused select+gather: one crossing per shard, payload accounted.
-        set_shard_affinity("on")
         parallel.shutdown()
         store.select_gather(program.run_part)  # cold warm-up (publish + spawn)
         before = parallel.select_gather_stats()
@@ -855,7 +829,6 @@ def bench_affinity_section(size: int, repeats: int = AFFINITY_REPEATS) -> list:
         )
     finally:
         set_shard_executor(previous_mode)
-        set_shard_affinity(previous_affinity)
         set_shard_workers(previous_workers)
         parallel.shutdown()
     return records
@@ -1220,9 +1193,8 @@ def run(
                     "workers",
                     "size",
                     "serial s",
-                    "thread s",
                     "process s",
-                    "proc/thread",
+                    "proc/serial",
                 ],
                 [
                     [
@@ -1230,14 +1202,13 @@ def run(
                         r["workers"],
                         r["size"],
                         r["serial_seconds"],
-                        r["thread_seconds"],
                         r["process_seconds"],
-                        f"{r['process_vs_thread']}x",
+                        f"{r['process_vs_serial']}x",
                     ]
                     for r in parallel_results
                 ],
                 title=(
-                    "Shard executors: serial vs thread vs process "
+                    "Shard executors: serial vs process "
                     f"(cpu_count={parallel_results[0]['executor_config']['cpu_count']}) "
                     f"-> {destination}"
                 ),
@@ -1250,26 +1221,22 @@ def run(
                 [
                     "operation",
                     "size",
-                    "off cold s",
-                    "off warm s",
-                    "on cold s",
-                    "on warm s",
-                    "warm speedup",
+                    "cold s",
+                    "warm s",
+                    "cold/warm",
                 ],
                 [
                     [
                         r["kernel"],
                         r["size"],
-                        r["off_cold_seconds"],
-                        r["off_warm_seconds"],
-                        r["on_cold_seconds"],
-                        r["on_warm_seconds"],
+                        r["cold_seconds"],
+                        r["warm_seconds"],
                         f"{r['warm_speedup']}x",
                     ]
                     for r in warm_records
                 ],
                 title=(
-                    "Affinity routing: repeat-batch latency, off vs on "
+                    "Affinity routing: repeat-batch latency, cold vs warm "
                     f"(workers = shards = {AFFINITY_SHARDS}) -> {destination}"
                 ),
             )

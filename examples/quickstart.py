@@ -158,15 +158,14 @@ def main() -> None:
     assert eight.distinct() == sharded_poi.distinct()
     print(f"sharded8 (range) shard sizes: {[len(s) for s in eight.store.shards]}")
 
-    # --- Shard executors: serial / thread / process -----------------------
+    # --- Shard executors: serial / process ---------------------------------
     # How per-shard work actually runs is a knob, orthogonal to the layout:
     #
-    #   set_shard_executor("serial")   every shard on the calling thread
-    #   set_shard_executor("thread")   bounded ThreadPoolExecutor (default)
-    #   set_shard_executor("process")  process pool over shared memory
+    #   set_shard_executor("serial")   every shard on the calling thread (default)
+    #   set_shard_executor("process")  worker processes over shared memory
     #
-    # "process" is the one that buys real CPU parallelism for pure-Python
-    # work: the first query publishes each shard's column buffers into
+    # "process" buys real CPU parallelism for pure-Python work: the first
+    # query publishes each shard's column buffers into
     # multiprocessing.shared_memory once, worker processes decode and cache
     # them, and every later query ships only the compiled mask program / the
     # kernel query parameters — never the data.  Routing is automatic and
@@ -175,17 +174,20 @@ def main() -> None:
     # radius batches) cross the boundary; per-row callables, small stores
     # (below get_process_min_rows(), default 4096 rows — under that, the
     # round-trip costs more than the work) and anything unpicklable fall
-    # back to the thread path with bit-identical results.  Mutating a store
-    # retires its shared-memory segments; the next query republishes.
+    # back to the serial path with bit-identical results.  Each shard's work
+    # returns to the same worker (affinity routing), so its decoded buffers
+    # and kernel indexes stay warm across queries.  Mutating a store retires
+    # its shared-memory segments; the next query republishes.
     #
-    # Pool sizing: set_shard_workers(n) bounds BOTH pools (values < 1 raise;
-    # None restores os.cpu_count()).  Environment overrides at import time:
+    # Pool sizing: set_shard_workers(n) bounds the worker processes (values
+    # < 1 raise; None restores os.cpu_count()).  Environment overrides at
+    # import time:
     # REPRO_SHARD_WORKERS=4 REPRO_SHARD_EXECUTOR=process python app.py
     #
     # Rule of thumb: "process" pays off once per-shard work dominates the
     # ~millisecond task round-trip — i.e. shards of >= ~25k rows under
     # selective masks, or kernel batches of hundreds of probes — and only
-    # with real spare cores ("thread" and "process" tie on one CPU).
+    # with real spare cores ("serial" and "process" tie on one CPU).
     from repro.relational import set_shard_executor
 
     previous_executor = set_shard_executor("process")
@@ -199,11 +201,12 @@ def main() -> None:
     )
     set_shard_executor(previous_executor)
     assert process_hotels == cheap_hotels
-    print("process-executor σ over poi agrees with the thread/serial paths")
+    print("process-executor σ over poi agrees with the serial path")
 
     # Per-row *callable* predicates always scan sequentially in global row
     # order (they may be stateful); only vectorized predicates fan out per
-    # shard.  set_shard_workers(1) forces the sequential fallback everywhere.
+    # shard.  set_shard_workers(1) keeps the process executor on the serial
+    # path everywhere.
     set_shard_workers(1)
     assert eight.select(lambda row: row[1] == "hotel").store.backend == "sharded8"
     set_shard_workers(None)  # restore the default (os.cpu_count())

@@ -460,10 +460,9 @@ class KDForest:
     * :meth:`nearest_distance` — the minimum over the per-tree minima, which
       equals the global minimum for the same reason.
 
-    Tree construction fans out through
-    :meth:`~repro.relational.store.ShardedStore.map_shards`, so on a
-    multi-worker pool the per-shard builds run concurrently; each tree is
-    also smaller than a monolithic one (better search pruning per query).
+    Tree construction runs per shard through
+    :meth:`~repro.relational.store.ShardedStore.map_shards`; each tree is
+    smaller than a monolithic one (better search pruning per query).
     On a non-sharded relation the forest degenerates to a single tree.
 
     The level/representative API of :class:`KDTree` (access-template
@@ -540,12 +539,9 @@ class KDForest:
         or more queries ships to the worker processes holding the shard
         buffers — each worker builds (and caches) one KD-tree per shard and
         answers every query, so only the query parameters cross the process
-        boundary.  With affinity routing on (the default — see
-        :func:`repro.relational.store.set_shard_affinity`), every batch for
-        a given shard lands on the same rendezvous-home worker, so the
-        cached KD-tree is rebuilt at most once per worker lifetime rather
-        than once per (worker, shard) pairing the old free-for-all dispatch
-        happened to produce.  Single-query calls (and therefore
+        boundary.  The affinity router sends every batch for a given shard
+        to the same rendezvous-home worker, so the cached KD-tree is
+        rebuilt at most once per worker lifetime.  Single-query calls (and therefore
         :meth:`within_radius_indices` / :meth:`within_radius`) stay on the
         parent-side trees, like the radius matcher's per-query path — one
         query cannot amortize a pool round trip per shard.  Results are

@@ -531,7 +531,7 @@ class ShardedRadiusMatcher:
     hold the shard buffers and build one matcher per shard there — the
     parent never indexes anything.  Per-query calls, small stores, and
     unpicklable distance functions fall back to parent-side sub-matchers on
-    the thread path, with identical results.
+    the serial path, with identical results.
     """
 
     __slots__ = (

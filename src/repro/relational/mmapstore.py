@@ -36,7 +36,7 @@ open; ``full`` additionally reads and verifies every payload.  A failed
 check raises :exc:`~repro.errors.CorruptShardError` after *quarantining*
 the damaged file (renamed aside with a ``.quarantined`` suffix) so a
 crash-restart loop cannot spin on the same bad bytes — callers on the
-parallel read path treat it as fatal and fall back to the thread path over
+parallel read path treat it as fatal and fall back to the serial path over
 the in-memory buffers.  Legacy ``RPROMM01`` files (no checksums) still open,
 unverified.  The ``mmap.open.missing`` / ``mmap.open.corrupt`` fault sites
 (:mod:`repro.faults`) fire here; injected corruption never quarantines a

@@ -1,12 +1,11 @@
 """Process-parallel shard execution over shared-memory buffers.
 
-The sharded backend's fan-out seam (:meth:`ShardedStore.map_shards` /
-:meth:`ShardedStore.eval_mask`) ran on a GIL-bound thread pool, so
-pure-Python chunk masks and distance kernels gained concurrency but no real
-CPU parallelism.  This module adds the third execution mode behind
-:func:`repro.relational.store.set_shard_executor`: a lazily spawned, bounded
-**process pool** whose workers hold each shard's column buffers, decoded
-once from :mod:`multiprocessing.shared_memory` segments.
+The sharded backend's per-shard seam (:meth:`ShardedStore.eval_mask`,
+:meth:`ShardedStore.select_gather`, the kernel batch APIs) runs serially by
+default.  This module is the ``"process"`` mode behind
+:func:`repro.relational.store.set_shard_executor`: lazily spawned, bounded
+**worker processes** that hold each shard's column buffers, decoded once
+from :mod:`multiprocessing.shared_memory` segments.
 
 The contract that makes this fast is *publish once, query many*:
 
@@ -38,12 +37,10 @@ The contract that makes this fast is *publish once, query many*:
   are keyed by segment name, so stale entries can never answer a query; they
   simply age out of the LRU.
 
-**Affinity routing.**  With :func:`repro.relational.store.set_shard_affinity`
-``"on"`` (the default; ``REPRO_SHARD_AFFINITY`` overrides at import time),
-shard tasks no longer go to a free-for-all shared pool: the
-:class:`_AffinityRouter` keeps one dedicated single-worker queue (*slot*)
-per configured worker and routes every task by **rendezvous hashing** its
-publication handle token — the home slot is the argmax over slots of
+**Affinity routing.**  Every shard task goes through the
+:class:`_AffinityRouter`, which keeps one dedicated single-worker queue
+(*slot*) per configured worker and routes every task by **rendezvous
+hashing** its publication handle token — the home slot is the argmax over slots of
 ``blake2b(token | slot index | slot generation)``, deterministic across
 processes and hash seeds.  Each shard's decoded store and cached kernel
 indexes therefore live on exactly one warm worker across queries.  Overflow
@@ -53,10 +50,12 @@ can resolve any handle — stealing costs cache warmth, never correctness).
 A dead worker (``BrokenProcessPool``) repairs only its own slot: the pool is
 rebuilt and the slot's *generation* is bumped, which re-draws that slot's
 rendezvous scores — tokens only ever move from or to the repaired slot,
-every other assignment is untouched.  :func:`reset_process_pool` (worker
-count or affinity-mode changes) discards the router wholesale for a full
-re-hash.  Routing hit/steal/re-hash counters are exposed through
-:func:`affinity_stats`; the serving layer reports them per request.
+every other assignment is untouched; the retired slot's worker process is
+killed, so a wedged worker can neither poison later rounds nor hold up
+interpreter exit.  :func:`reset_process_pool` (worker-count changes)
+discards the router wholesale for a full re-hash.  Routing
+hit/steal/re-hash counters are exposed through :func:`affinity_stats`; the
+serving layer reports them per request.
 
 **Fused select+gather.**  On top of the sticky routing, selection ships as
 **one whole operator** instead of a mask round-trip plus central gather:
@@ -67,29 +66,27 @@ masker, output column positions, optional per-shard α-budget slice
 columns as raw bytes — so a select→gather crosses the process boundary
 exactly once per shard.  Workers short-circuit the payload (``None``) when
 every row survives or there is nothing to gather; budget slices truncate
-with the same :func:`~repro.relational.store._truncate_mask` the serial and
-thread paths use.  :meth:`ShardedStore.select_gather` adopts the returned
+with the same :func:`~repro.relational.store._truncate_mask` the serial
+path uses.  :meth:`ShardedStore.select_gather` adopts the returned
 buffers as fresh column stores; :func:`select_gather_stats` accounts the
 round-trip bytes.
 
-**Fallbacks.**  Everything here degrades gracefully to the thread path: the
+**Fallbacks.**  Everything here degrades gracefully to the serial path: the
 parent returns ``None`` (and the caller falls back) when the store is
 smaller than :func:`get_process_min_rows`, when the work or its parameters
 fail to pickle, when the platform cannot create shared memory or process
 pools (the payload then ships inline inside the task, still cached by
 token), when called from inside a worker (no nested pools), or after
-repeated pool failures.  Results are bit-identical across ``"serial"``,
-``"thread"`` and ``"process"`` modes — with affinity on or off — the
-cross-backend conformance matrix and the hypothesis properties in
-``tests/test_parallel.py`` enforce this.
+repeated pool failures.  Results are bit-identical across the ``"serial"``
+and ``"process"`` modes — the cross-backend conformance matrix and the
+hypothesis properties in ``tests/test_parallel.py`` enforce this.
 
-**Lifecycle.**  One cleanup hook, registered on first use, shuts the pool
-and the affinity router down and unlinks every live segment at interpreter
-exit, so test runs and the benchmark harness terminate without
+**Lifecycle.**  One cleanup hook, registered on first use, shuts the
+affinity router down and unlinks every live segment at interpreter exit,
+so test runs and the benchmark harness terminate without
 ``resource_tracker`` warnings; :func:`reset_process_pool` (called by
-:func:`~repro.relational.store.set_shard_workers` and
-:func:`~repro.relational.store.set_shard_affinity`) retires both early so
-the next query re-creates them at the new bound/topology.
+:func:`~repro.relational.store.set_shard_workers`) retires the router
+early so the next query re-creates it at the new bound.
 """
 
 from __future__ import annotations
@@ -119,7 +116,6 @@ from .store import (
     _KIND_INT,
     _KIND_OBJECT,
     _truncate_mask,
-    get_shard_affinity,
     get_shard_workers,
 )
 
@@ -139,7 +135,7 @@ _process_min_rows = DEFAULT_PROCESS_MIN_ROWS
 
 
 def get_process_min_rows() -> int:
-    """Stores smaller than this stay on the thread path in process mode."""
+    """Stores smaller than this stay on the serial path in process mode."""
     return _process_min_rows
 
 
@@ -182,7 +178,7 @@ def set_probe_timeout(seconds: Optional[float]) -> float:
     worker that hangs during spawn, a sandbox that silently swallows the
     task) used to stall the first probing caller for a full minute; now the
     probe gives up after this many seconds and trips the failure breaker
-    instead, so the session degrades to the thread path promptly.
+    instead, so the session degrades to the serial path promptly.
     """
     global _probe_timeout
     previous = _probe_timeout
@@ -228,7 +224,7 @@ def set_dispatch_retries(count: Optional[int]) -> int:
     ``REPRO_DISPATCH_RETRIES`` environment override applies only at import
     time); negative or non-integer values raise :exc:`ValueError`.  ``0``
     disables retries entirely — any shard-task failure falls straight back
-    to the thread path.
+    to the serial path.
     """
     global _dispatch_retries
     previous = _dispatch_retries
@@ -261,7 +257,7 @@ def set_dispatch_deadline(seconds: Optional[float]) -> float:
     ``None`` restores :data:`DEFAULT_DISPATCH_DEADLINE`; values that are not
     positive finite numbers raise :exc:`ValueError`.  A worker that wedges
     mid-task (or a fault-injected sleep) can therefore stall a query for at
-    most ``deadline × (1 + retries)`` before the thread path answers it —
+    most ``deadline × (1 + retries)`` before the serial path answers it —
     never indefinitely.
     """
     global _dispatch_deadline
@@ -555,7 +551,7 @@ class _Unpublishable:
     """Sentinel publication for stores whose payloads cannot be encoded.
 
     Remembered on the store so every later process-mode query skips
-    straight to the thread path instead of re-attempting (and re-failing)
+    straight to the serial path instead of re-attempting (and re-failing)
     the per-shard encode.  Mutation clears it like any publication, so a
     store that sheds its unpicklable values becomes publishable again.
     """
@@ -595,7 +591,7 @@ def publication_for(store: Store):
     :class:`FilePublication` — no shared-memory segments are created and
     nothing needs retiring; workers map the files directly.  Otherwise a
     :class:`ShardPublication` copies each shard's payload into shared
-    memory.  Returns ``None`` — the caller falls back to the thread path —
+    memory.  Returns ``None`` — the caller falls back to the serial path —
     when the store's payloads cannot be published (unpicklable
     object-column values); the failure is remembered until the next
     mutation.  A publication whose segments were unlinked behind the
@@ -621,7 +617,7 @@ def publication_for(store: Store):
             _register_cleanup()
             try:
                 publication = ShardPublication(store)
-            except Exception:  # repro: ignore[EXC001] unpublishable payload is remembered; callers fall back to threads
+            except Exception:  # repro: ignore[EXC001] unpublishable payload is remembered; callers fall back to serial
                 store._publication = _UNPUBLISHABLE
                 return None
             store._publication = publication
@@ -641,9 +637,7 @@ def publication_for(store: Store):
 # Process pool lifecycle
 # ---------------------------------------------------------------------------
 
-_pool = None
-_pool_workers: Optional[int] = None
-_router = None  # the _AffinityRouter when shard affinity is "on"
+_router = None  # the _AffinityRouter, created on first process-mode dispatch
 _pool_lock = threading.Lock()
 
 # -- circuit breaker state (all guarded by _pool_lock) -----------------------
@@ -661,9 +655,9 @@ _breaker_probe_inflight = False
 _breaker_trips = 0
 _breaker_recoveries = 0
 
-# Monotonic pool-incarnation counter: each spawned pool (shared or per-slot)
-# gets the next value as its workers' fault-plan nonce, so a repaired
-# worker's injected-fault draws differ from its dead predecessor's — a
+# Monotonic pool-incarnation counter: each spawned slot pool gets the next
+# value as its workers' fault-plan nonce, so a repaired worker's
+# injected-fault draws differ from its dead predecessor's — a
 # kill/heal cycle terminates instead of re-killing every replacement.
 _pool_incarnation = 0
 _cleanup_registered = False
@@ -686,38 +680,32 @@ def _register_cleanup() -> None:
 
 
 def shutdown() -> None:
-    """Shut the process pool and affinity router down; unlink every segment.
+    """Shut the affinity router down; unlink every segment.
 
     Registered once with :mod:`atexit` on first use; safe to call directly
     (e.g. by a benchmark harness) — the next process-mode query starts
     fresh.
     """
-    global _pool, _pool_workers, _router
+    global _router
     with _pool_lock:
-        stale, _pool, _pool_workers = _pool, None, None
         stale_router, _router = _router, None
-    if stale is not None:
-        stale.shutdown(wait=True, cancel_futures=True)
     if stale_router is not None:
         stale_router.close(wait=True)
     _release_segments(list(_SEGMENT_REGISTRY))
 
 
 def reset_process_pool() -> None:
-    """Retire the pool/router so the next query re-creates them as configured.
+    """Retire the router so the next query re-creates it as configured.
 
-    Called by :func:`repro.relational.store.set_shard_workers` and
-    :func:`repro.relational.store.set_shard_affinity`; published segments
-    stay alive (they are sized by the data, not the pool).  Discarding the
-    router is the *full re-hash*: the replacement starts with fresh slots at
-    generation zero, so every token is rendezvous-scored anew.
+    Called by :func:`repro.relational.store.set_shard_workers`; published
+    segments stay alive (they are sized by the data, not the pool).
+    Discarding the router is the *full re-hash*: the replacement starts with
+    fresh slots at generation zero, so every token is rendezvous-scored
+    anew.
     """
-    global _pool, _pool_workers, _router
+    global _router
     with _pool_lock:
-        stale, _pool, _pool_workers = _pool, None, None
         stale_router, _router = _router, None
-    if stale is not None:
-        stale.shutdown(wait=False, cancel_futures=True)
     if stale_router is not None:
         stale_router.close(wait=False)
 
@@ -726,9 +714,9 @@ def _mp_context():
     import multiprocessing
 
     # fork keeps worker start cheap and inherits the imported package, but
-    # forking a process that already runs threads (the shard thread pool,
-    # a server's request threads) can deadlock the children and trips
-    # CPython 3.12+'s fork-in-threaded-process warning — so fork is only
+    # forking a process that already runs threads (a server's request
+    # threads, a live slot pool's manager thread) can deadlock the children
+    # and trips CPython 3.12+'s fork-in-threaded-process warning — so fork is only
     # preferred while the process is still single-threaded (e.g. the pool
     # probe at session start); otherwise forkserver (children fork from a
     # single-threaded server) and spawn come first.  Workers never rely on
@@ -767,43 +755,6 @@ def _worker_initargs(context) -> Tuple[str, Optional[str], str]:
 
 
 _pool_create_lock = threading.Lock()
-
-
-def _ensure_pool():
-    """The lazily-created bounded process pool (or ``None`` when unavailable)."""
-    global _pool, _pool_workers, _pool_failures
-    workers = get_shard_workers()
-    with _pool_lock:
-        if _pool is not None and _pool_workers == workers:
-            return _pool
-    # Serialize creation: two threads racing on first use must end up
-    # sharing one pool, not each spawning a full set of worker processes
-    # with one of them silently leaked.
-    with _pool_create_lock:
-        with _pool_lock:
-            if _pool is not None and _pool_workers == workers:
-                return _pool
-            stale, _pool, _pool_workers = _pool, None, None
-        if stale is not None:
-            stale.shutdown(wait=False, cancel_futures=True)
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = _mp_context()
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=_worker_initargs(context),
-            )
-        except (ImportError, OSError, ValueError):  # pragma: no cover - platform
-            with _pool_lock:
-                _pool_failures = _MAX_POOL_FAILURES
-            return None
-        _register_cleanup()
-        with _pool_lock:
-            _pool, _pool_workers = pool, workers
-        return pool
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +910,14 @@ class _AffinityRouter:
             slot.inflight = max(0, slot.inflight - 1)
 
     def repair(self, slot: _AffinitySlot) -> None:
-        """Replace a dead slot's pool and re-draw its rendezvous scores."""
+        """Replace a failed slot's pool and re-draw its rendezvous scores.
+
+        The retired pool's worker is killed before the shutdown: a worker
+        abandoned at the dispatch deadline may be wedged, and a live worker
+        keeps the pool's manager thread alive — which ``concurrent.futures``
+        joins at interpreter exit, so the process would not exit until the
+        wedged task finished (or ever).
+        """
         with self._lock:
             stale, slot.pool = slot.pool, None
             slot.generation += 1
@@ -967,6 +925,9 @@ class _AffinityRouter:
             self.rehashes += 1
             self._route_cache.clear()
         if stale is not None:
+            # ProcessPoolExecutor has no public handle on its workers.
+            for process in list((getattr(stale, "_processes", None) or {}).values()):
+                process.kill()
             stale.shutdown(wait=False, cancel_futures=True)
 
     def close(self, wait: bool = True) -> None:
@@ -991,17 +952,15 @@ class _AffinityRouter:
             }
 
 
-def _ensure_router():
-    """The affinity router (or ``None`` when affinity is off).
+def _ensure_router() -> "_AffinityRouter":
+    """The affinity router, created lazily at the current worker count.
 
-    Created lazily at the current worker count — one single-worker slot per
-    configured worker, pools spawned on first routed task.  A worker-count
-    or affinity-mode change discards it via :func:`reset_process_pool`
-    (full re-hash); slot-level failures repair in place instead.
+    One single-worker slot per configured worker, pools spawned on first
+    routed task.  A worker-count change discards it via
+    :func:`reset_process_pool` (full re-hash); slot-level failures repair in
+    place instead.
     """
     global _router
-    if get_shard_affinity() != "on":
-        return None
     workers = get_shard_workers()
     with _pool_lock:
         if _router is not None and _router.slot_count == workers:
@@ -1021,7 +980,7 @@ def _ensure_router():
 
 
 def affinity_stats() -> Dict[str, int]:
-    """Parent-side routing counters (all zero while the router is inactive).
+    """Parent-side routing counters (all zero until the router is created).
 
     ``hits`` counts tasks executed on their rendezvous home slot, ``steals``
     tasks diverted to an idle slot by work-stealing overflow, ``rehashes``
@@ -1097,7 +1056,7 @@ def _breaker_enter() -> Optional[str]:
     concurrent holders).  ``"probe"`` — breaker was open, the cooldown
     elapsed, and this caller is the *single* half-open recovery probe.
     ``None`` — refused (open and cooling down, or a probe is already in
-    flight); fall back to the thread path.  Every non-``None`` token must
+    flight); fall back to the serial path.  Every non-``None`` token must
     be paired with exactly one :func:`_breaker_exit`.
     """
     global _breaker_opened_at, _breaker_probe_inflight
@@ -1189,8 +1148,8 @@ def process_eligible(store: Store) -> bool:
 def probe_process_executor() -> bool:
     """Whether a worker round-trip actually works on this platform.
 
-    Spawns the pool (or the home router slot, under affinity) if needed and
-    runs one trivial task; used by test harnesses to decide whether
+    Spawns the probe token's home router slot if needed and runs one
+    trivial task; used by test harnesses to decide whether
     process-mode legs are meaningful.  The wait is bounded by
     :func:`get_probe_timeout` — a pool that wedges during spawn trips the
     failure breaker and the probe reports ``False`` promptly instead of
@@ -1204,16 +1163,7 @@ def probe_process_executor() -> bool:
     if token is None:
         return False
     try:
-        router = _ensure_router()
-        if router is not None:
-            future, _slot = router.submit("__probe__", _worker_ping)
-        else:
-            pool = _ensure_pool()
-            if pool is None:
-                _breaker_exit(token, False)
-                return False
-        if router is None:
-            future = pool.submit(_worker_ping)
+        future, _slot = _ensure_router().submit("__probe__", _worker_ping)
         alive = bool(future.result(timeout=_probe_timeout))
         _breaker_exit(token, alive)
         return alive
@@ -1226,7 +1176,7 @@ def probe_process_executor() -> bool:
 # Cumulative dispatch-resilience accounting (parent side).  ``retries``
 # counts re-submission rounds, ``timeouts`` futures abandoned at the
 # dispatch deadline, ``reroutes`` tasks re-routed away from a failed slot,
-# ``fallbacks`` dispatches that gave up to the thread path, ``fatal``
+# ``fallbacks`` dispatches that gave up to the serial path, ``fatal``
 # publication-level failures (vanished segment, corrupt shard file).
 _dispatch_lock = threading.Lock()
 _DISPATCH_COUNTS = {
@@ -1264,8 +1214,7 @@ class _RoundOutcome:
 
 
 def _dispatch_round(
-    router,
-    pool,
+    router: _AffinityRouter,
     fn: Callable,
     tasks: Sequence[Tuple[Handle, Tuple]],
     pending: Sequence[int],
@@ -1279,34 +1228,31 @@ def _dispatch_round(
     timeout — eligible for retry on another slot), a *fatal* publication
     failure (vanished segment / corrupt or missing shard file — retrying
     the same handles cannot help), or a no-verdict cancellation by a
-    concurrent pool reset.
+    concurrent router reset.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     outcome = _RoundOutcome()
     futures: Dict[int, object] = {}
-    slots: Dict[int, Optional[_AffinitySlot]] = {}
+    slots: Dict[int, _AffinitySlot] = {}
     try:
         for index in pending:
             handle, args = tasks[index]
             if faults.inject("parallel.dispatch.broken"):
                 raise BrokenProcessPool("injected dispatch fault")
-            if router is not None:
-                previous_slot = avoid.get(index, -1)
-                if previous_slot >= 0:
-                    future, slot = router.submit_avoiding(
-                        handle[1], previous_slot, fn, handle, *args
-                    )
-                else:
-                    future, slot = router.submit(handle[1], fn, handle, *args)
+            previous_slot = avoid.get(index, -1)
+            if previous_slot >= 0:
+                future, slot = router.submit_avoiding(
+                    handle[1], previous_slot, fn, handle, *args
+                )
             else:
-                future, slot = pool.submit(fn, handle, *args), None
+                future, slot = router.submit(handle[1], fn, handle, *args)
             futures[index] = future
             slots[index] = slot
     except (BrokenProcessPool, RuntimeError, OSError, ValueError, ImportError):
         # The pool broke (or was shut down under us) at submission time —
         # infrastructure, not the computation.  Reset so the next round
-        # re-creates the executor, and mark everything not yet submitted
+        # re-creates the router, and mark everything not yet submitted
         # (plus whatever was) as failed for retry.
         for future in futures.values():
             future.cancel()
@@ -1316,53 +1262,34 @@ def _dispatch_round(
 
     deadline = _dispatch_deadline
     started = time.monotonic()
-    self_reset = False
     repaired: set = set()
     for index, future in sorted(futures.items()):
         remaining = max(0.0, deadline - (time.monotonic() - started))
         try:
             results[index] = future.result(timeout=remaining)
-        except FuturesTimeoutError:
-            # Wedged worker (or fault-injected sleep) past the dispatch
-            # deadline: abandon the future, retire the slot so the stuck
-            # worker cannot poison the next round, and retry elsewhere.
-            _note_dispatch("timeouts")
-            future.cancel()
+        except (FuturesTimeoutError, BrokenProcessPool) as error:
+            if isinstance(error, FuturesTimeoutError):
+                # Wedged worker (or fault-injected sleep) past the dispatch
+                # deadline: abandon the future.  It is not cancelled here —
+                # the slot repair below cancels the pool's queued work from
+                # the pool's own manager thread, whereas a future cancelled
+                # from outside and then failed by the killed worker makes
+                # that thread raise InvalidStateError (CPython 3.11).
+                _note_dispatch("timeouts")
+            # Retire the slot (once per round) so a dead or stuck worker
+            # cannot poison the next round, and retry elsewhere.
             slot = slots[index]
-            if slot is not None:
-                if slot.index not in repaired:
-                    repaired.add(slot.index)
-                    router.repair(slot)
-                avoid[index] = slot.index
-            elif not self_reset:
-                self_reset = True
-                reset_process_pool()
+            if slot.index not in repaired:
+                repaired.add(slot.index)
+                router.repair(slot)
+            avoid[index] = slot.index
             outcome.failed.append(index)
-        # repro: ignore[EXC001] self-reset cancellations retry; concurrent-reset
-        # cancellations abort with no breaker verdict (the resetter already
-        # replaced the pool) — neither is a swallow.
+        # repro: ignore[EXC001] a concurrent reset_process_pool cancelled us;
+        # the resetter already replaced the router — no verdict, not a swallow.
         except CancelledError:
-            if self_reset:
-                # Our own deadline reset cancelled the rest of the shared
-                # pool's queue; those tasks simply retry next round.
-                outcome.failed.append(index)
-            else:
-                # A concurrent reset_process_pool cancelled us; the
-                # resetter already replaced the pool — no verdict.
-                outcome.cancelled = True
-        except BrokenProcessPool:
-            slot = slots[index]
-            if slot is not None:
-                if slot.index not in repaired:
-                    repaired.add(slot.index)
-                    router.repair(slot)
-                avoid[index] = slot.index
-            elif not self_reset:
-                self_reset = True
-                reset_process_pool()
-            outcome.failed.append(index)
+            outcome.cancelled = True
         # repro: ignore[EXC001] fatal publication loss: the caller exits its
-        # breaker token with a strike and falls back to the thread path; the
+        # breaker token with a strike and falls back to the serial path; the
         # next query republishes (_publication_live sees the dead handle).
         except (FileNotFoundError, CorruptShardError):
             outcome.fatal = True
@@ -1396,12 +1323,7 @@ def _dispatch_with_retries(
             backoff = _retry_backoff * (2 ** (attempt - 1))
             if backoff > 0:
                 time.sleep(backoff)
-        router = _ensure_router()
-        pool = None if router is not None else _ensure_pool()
-        if router is None and pool is None:
-            _note_dispatch("fallbacks")
-            return None, False
-        outcome = _dispatch_round(router, pool, fn, tasks, pending, avoid, results)
+        outcome = _dispatch_round(_ensure_router(), fn, tasks, pending, avoid, results)
         if outcome.cancelled:
             return None, None
         if outcome.fatal:
@@ -1420,21 +1342,20 @@ def _submit_per_shard(
 ) -> Optional[List[object]]:
     """Run ``fn(handle, *args)`` for every shard; ``None`` on infra failure.
 
-    With shard affinity on, every task is routed through the affinity
-    router by its handle token — the shard's dedicated warm worker, with
-    work-stealing overflow; otherwise tasks go to the shared free-for-all
-    pool.  Infrastructure failures (a broken pool, a worker past the
-    dispatch deadline, a segment that vanished under a concurrent mutation)
-    are retried up to :func:`get_dispatch_retries` times on alternate
-    slots, then trigger the thread-path fallback; genuine application
-    errors raised by the shipped computation propagate to the caller
-    exactly as they would on the thread path.  Every dispatch holds a
+    Every task is routed through the affinity router by its handle token —
+    the shard's dedicated warm worker, with work-stealing overflow.
+    Infrastructure failures (a broken pool, a worker past the dispatch
+    deadline, a segment that vanished under a concurrent mutation) are
+    retried up to :func:`get_dispatch_retries` times on alternate slots,
+    then trigger the serial-path fallback; genuine application errors
+    raised by the shipped computation propagate to the caller exactly as
+    they would on the serial path.  Every dispatch holds a
     circuit-breaker token: success closes the breaker, exhausted retries
     strike it, and an open breaker refuses dispatch up front (the half-open
     recovery probe being the one exception).
     """
     publication = publication_for(store)
-    if publication is None:  # unpublishable payloads: thread fallback
+    if publication is None:  # unpublishable payloads: serial fallback
         return None
     token = _breaker_enter()
     if token is None:
@@ -1467,7 +1388,7 @@ def process_eval_mask(
 ) -> Optional[List[bytearray]]:
     """Evaluate a picklable masker once per shard on the process pool.
 
-    Returns per-shard masks in shard order, or ``None`` (thread fallback)
+    Returns per-shard masks in shard order, or ``None`` (serial fallback)
     when the store is too small, the masker does not pickle, or the pool is
     unavailable.  The masker is typically a compiled
     :class:`~repro.algebra.predicates.MaskProgram`'s bound ``run_part`` —
@@ -1492,7 +1413,7 @@ def process_gather(
     """Gather one column's per-shard index lists on the process pool.
 
     Ships ``(position, local indices)`` per shard and receives the gathered
-    buffers (typed arrays stay typed); ``None`` falls back to the thread
+    buffers (typed arrays stay typed); ``None`` falls back to the serial
     path.  Only worth the round-trip for large gathers, so the eligibility
     threshold applies to the number of gathered rows as well.
     """
@@ -1577,7 +1498,7 @@ def process_select_gather(
     parent materializes from its own shard copy instead.
 
     Returns ``(per-shard masks, per-shard decoded buffer lists)`` in shard
-    order, or ``None`` (thread fallback) when the store is too small, the
+    order, or ``None`` (serial fallback) when the store is too small, the
     masker does not pickle, or the pool is unavailable.
     """
     global _select_gather_calls, _select_gather_result_bytes, _select_gather_object_values
@@ -1718,7 +1639,7 @@ _STORE_CACHE_LIMIT = 64
 _INDEX_CACHE_LIMIT = 64
 
 # Worker-private cold-work counters: how many shard payloads this worker
-# decoded and how many kernel indexes it built.  Under sticky affinity a
+# decoded and how many kernel indexes it built.  Under sticky routing a
 # repeated query should add zero to either — _worker_cache_stats ships them
 # back so tests and the benchmark can assert/score cache warmth per slot.
 _CACHE_STATS = {"store_decodes": 0, "index_builds": 0}
@@ -1729,17 +1650,13 @@ def _worker_cache_stats() -> Dict[str, int]:
     return dict(_CACHE_STATS)
 
 
-def worker_cache_stats(timeout: Optional[float] = None) -> Optional[List[Dict[str, int]]]:
-    """Per-slot worker cold-work counters, in slot order (router only).
+def worker_cache_stats(timeout: Optional[float] = None) -> List[Dict[str, int]]:
+    """Per-slot worker cold-work counters, in slot order.
 
     Queries every *live* slot of the affinity router (slots whose pool has
-    never spawned report zeros without spawning one).  Returns ``None``
-    when the router is inactive — the shared pool's workers cannot be
-    addressed individually, so there is nothing meaningful to collect.
+    never spawned report zeros without spawning one).
     """
-    router = _router
-    if router is None:
-        return None
+    router = _ensure_router()
     wait = _probe_timeout if timeout is None else timeout
     stats: List[Dict[str, int]] = []
     for slot in router._slots:
@@ -1766,8 +1683,8 @@ def _worker_init(
 
     Marks the process as a worker (no nested pools, no publications) and
     neutralizes any executor state inherited across ``fork`` — the parent's
-    pools do not exist here, and per-shard work inside a worker is small by
-    construction, so workers always run sequentially.  The parent's active
+    router does not exist here, and per-shard work inside a worker is small
+    by construction, so workers always run serially.  The parent's active
     fault plan ships along as its spec, re-seeded under this pool's
     incarnation nonce so each worker generation draws its own deterministic
     fault sequence (see :func:`_worker_initargs`).
@@ -1783,9 +1700,8 @@ def _worker_init(
     faults._install_worker_plan(fault_spec, fault_nonce)
     from . import store as store_module
 
-    store_module._shard_pool = None
     store_module._shard_workers = 1
-    store_module._shard_executor = "thread"
+    store_module._shard_executor = "serial"
 
 
 def _worker_ping() -> bool:

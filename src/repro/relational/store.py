@@ -24,16 +24,15 @@ Three backends ship with the library:
   ``shard_count`` per-shard :class:`ColumnStore` instances by a partitioner
   (``"hash"``, ``"round_robin"`` or ``"range"``), while the store still
   presents the rows in their original insertion order.  Predicate masks,
-  selections and scans fan out per shard on the configured **shard
-  executor** (:func:`set_shard_executor`): sequentially (``"serial"``), on
-  a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-  (``"thread"``, the default; :func:`set_shard_workers` bounds it), or —
-  for picklable whole-store computations — on the process pool of
-  :mod:`repro.relational.parallel` (``"process"``), whose workers hold the
-  shard buffers decoded once from shared memory.  The distance kernels /
-  KD-tree consumers build one index per shard and merge results.  See
-  :meth:`ShardedStore.configured` for fixing shard count / partitioner
-  and registering the variant as its own backend name.
+  selections and scans run per shard on the configured **shard executor**
+  (:func:`set_shard_executor`): in shard order on the calling thread
+  (``"serial"``, the default), or — for picklable whole-store computations
+  — on the worker processes of :mod:`repro.relational.parallel`
+  (``"process"``; :func:`set_shard_workers` bounds them), whose workers
+  hold the shard buffers decoded once from shared memory.  The distance
+  kernels / KD-tree consumers build one index per shard and merge
+  results.  See :meth:`ShardedStore.configured` for fixing shard count /
+  partitioner and registering the variant as its own backend name.
 
 **Shard-aware evaluation.**  Vectorized consumers do not special-case the
 sharded backend; they route whole-store computations through
@@ -274,7 +273,7 @@ class Store:
         unlimited): the per-shard α-budget slice ``⌈α·|shard|⌉`` of shipped
         work (see :func:`shard_budget_slices`).  Truncation keeps the *first*
         ``limit`` survivors of each partition in row order, identically on
-        every execution path, so serial/thread/process results stay
+        every execution path, so serial and process results stay
         bit-identical.
 
         The default composes :meth:`eval_mask` and :meth:`select_mask`;
@@ -341,8 +340,8 @@ def _truncate_mask(mask: bytearray, limit: int) -> None:
 
     The α-budget slice applied to one shard's selection: the first
     ``⌈α·|shard|⌉`` survivors (in shard-local row order) are kept, the rest
-    dropped.  Every execution path — serial, thread, and the process-mode
-    fused ``select_gather`` worker — truncates with exactly this function,
+    dropped.  Every execution path — serial, and the process-mode fused
+    ``select_gather`` worker — truncates with exactly this function,
     which is what keeps budgeted selections bit-identical across executors.
     """
     kept = 0
@@ -672,7 +671,7 @@ class ColumnStore(Store):
 
 
 # ---------------------------------------------------------------------------
-# Sharded storage: partitioners and the bounded thread pool
+# Sharded storage: partitioners and the shard executor knobs
 # ---------------------------------------------------------------------------
 
 # A partitioner maps (row, insertion_index, shard_count) -> shard id.
@@ -723,19 +722,15 @@ register_partitioner("round_robin", _round_robin_partition)
 register_partitioner("range", _range_partition)
 
 
-# Shard-parallel execution: one process-wide bounded ThreadPoolExecutor,
-# created lazily.  ``None`` workers means "decide from os.cpu_count()";
-# resolving to 1 worker disables the pool entirely (sequential fallback).
-# Both knobs accept environment overrides at import time:
-# ``REPRO_SHARD_WORKERS`` (an integer >= 1) and ``REPRO_SHARD_EXECUTOR``
-# (one of the :data:`EXECUTOR_MODES`).
-EXECUTOR_MODES = ("serial", "thread", "process")
-DEFAULT_SHARD_EXECUTOR = "thread"
-
-_shard_pool = None  # type: Optional[object]
-_shard_pool_lock = threading.Lock()
-_PARALLEL_MIN_ROWS = 4096  # below this, pool overhead dominates
-_POOL_THREAD_PREFIX = "repro-shard"
+# Shard execution: ``"serial"`` runs every shard in order on the calling
+# thread; ``"process"`` ships picklable whole-store computations to the
+# worker processes of :mod:`repro.relational.parallel`.  ``None`` workers
+# means "decide from os.cpu_count()"; resolving to 1 worker keeps process
+# mode on the serial path.  Both knobs accept environment overrides at
+# import time: ``REPRO_SHARD_WORKERS`` (an integer >= 1) and
+# ``REPRO_SHARD_EXECUTOR`` (one of the :data:`EXECUTOR_MODES`).
+EXECUTOR_MODES = ("serial", "process")
+DEFAULT_SHARD_EXECUTOR = "serial"
 
 
 def _env_worker_count(name: str) -> Optional[int]:
@@ -767,26 +762,9 @@ def _env_executor_mode(name: str) -> str:
     return mode
 
 
-AFFINITY_MODES = ("on", "off")
-DEFAULT_SHARD_AFFINITY = "on"
-
-
-def _env_affinity_mode(name: str) -> str:
-    """Parse an affinity-mode environment override (unset means the default)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return DEFAULT_SHARD_AFFINITY
-    mode = raw.strip().lower()
-    if mode not in AFFINITY_MODES:
-        raise ValueError(
-            f"{name} must be one of {AFFINITY_MODES}, got {raw!r}"
-        )
-    return mode
-
-
 _shard_workers: Optional[int] = _env_worker_count("REPRO_SHARD_WORKERS")
+_shard_workers_lock = threading.Lock()
 _shard_executor: str = _env_executor_mode("REPRO_SHARD_EXECUTOR")
-_shard_affinity: str = _env_affinity_mode("REPRO_SHARD_AFFINITY")
 
 
 def get_shard_workers() -> int:
@@ -797,28 +775,24 @@ def get_shard_workers() -> int:
 
 
 def set_shard_workers(count: Optional[int]) -> Optional[int]:
-    """Bound the shard pools at ``count`` workers; returns the previous setting.
+    """Bound the shard workers at ``count``; returns the previous setting.
 
     ``None`` restores the default (``os.cpu_count()``); ``1`` forces the
-    sequential fallback; anything below 1 raises :exc:`ValueError`.  The
-    running pools (thread *and* process, if any) are shut down so the next
-    parallel operation re-creates them at the new bound; setting the current
-    value again is a no-op that keeps warm pools alive.
+    serial path; anything below 1 raises :exc:`ValueError`.  The running
+    process workers (if any) are shut down so the next process-mode
+    operation re-creates them at the new bound; setting the current value
+    again is a no-op that keeps warm workers alive.
     """
-    global _shard_workers, _shard_pool
+    global _shard_workers
     if count is not None:
         count = int(count)
         if count < 1:
             raise ValueError(f"shard worker count must be >= 1, got {count}")
-    with _shard_pool_lock:
+    with _shard_workers_lock:
         previous = _shard_workers
         if count == previous:
             return previous
         _shard_workers = count
-        stale = _shard_pool
-        _shard_pool = None
-    if stale is not None:
-        stale.shutdown(wait=True)
     _reset_process_pool()
     return previous
 
@@ -831,19 +805,18 @@ def get_shard_executor() -> str:
 def set_shard_executor(mode: Optional[str]) -> str:
     """Choose how per-shard work is executed; returns the previous mode.
 
-    * ``"serial"`` — every shard runs sequentially on the calling thread.
-    * ``"thread"`` — the bounded process-wide :class:`ThreadPoolExecutor`
-      (the default; real parallelism only for work that releases the GIL).
+    * ``"serial"`` (the default) — every shard runs in shard order on the
+      calling thread.
     * ``"process"`` — picklable whole-store computations (fused
       :class:`~repro.algebra.predicates.MaskProgram`\\s, kernel batch
-      queries) run on the process pool of
-      :mod:`repro.relational.parallel`, whose workers hold each shard's
-      column buffers decoded from shared memory; everything else — and any
-      computation that fails to pickle or any store below the
-      :func:`repro.relational.parallel.get_process_min_rows` threshold —
-      falls back to the thread path automatically.
+      queries, fused select+gather) run on the worker processes of
+      :mod:`repro.relational.parallel`, routed by the affinity router so
+      each shard's decoded buffers stay on one warm worker; everything
+      else — and any computation that fails to pickle or any store below
+      the :func:`repro.relational.parallel.get_process_min_rows` threshold
+      — falls back to the serial path automatically.
 
-    ``None`` restores the default (``"thread"``).  An unknown mode raises
+    ``None`` restores the default (``"serial"``).  An unknown mode raises
     :exc:`ValueError`.  ``REPRO_SHARD_EXECUTOR`` overrides the default at
     import time.
     """
@@ -859,46 +832,6 @@ def set_shard_executor(mode: Optional[str]) -> str:
     return previous
 
 
-def get_shard_affinity() -> str:
-    """Whether process-mode shard work uses sticky worker affinity (``"on"``/``"off"``)."""
-    return _shard_affinity
-
-
-def set_shard_affinity(mode: Optional[str]) -> str:
-    """Toggle sticky shard→worker affinity routing; returns the previous mode.
-
-    * ``"on"`` (the default) — process-mode shard work routes through the
-      affinity router of :mod:`repro.relational.parallel`: a rendezvous-hash
-      table maps each shard's publication token to a dedicated single-worker
-      queue (with work-stealing overflow), so a shard's decoded store and
-      cached kernel indexes stay on one warm worker across queries, and
-      fused ``select_gather`` operators ship whole (mask + gather in one
-      boundary crossing).
-    * ``"off"`` — the pre-affinity behaviour: one shared process pool whose
-      free-for-all task queue assigns shard work to any idle worker, and
-      selection materializes centrally after the mask round-trip.
-
-    Results are bit-identical either way — the knob trades cache warmth
-    against scheduling freedom, never values.  ``None`` restores the
-    default; an unknown mode raises :exc:`ValueError`.
-    ``REPRO_SHARD_AFFINITY`` overrides the default at import time.  Changing
-    the mode retires the running process pool/router so the next query
-    rebuilds the right topology.
-    """
-    global _shard_affinity
-    if mode is None:
-        mode = DEFAULT_SHARD_AFFINITY
-    if mode not in AFFINITY_MODES:
-        raise ValueError(
-            f"shard affinity must be one of {AFFINITY_MODES}, got {mode!r}"
-        )
-    previous = _shard_affinity
-    if mode != previous:
-        _shard_affinity = mode
-        _reset_process_pool()
-    return previous
-
-
 def _reset_process_pool() -> None:
     """Shut down the process pool if the parallel module is loaded (lazy import)."""
     import sys
@@ -906,31 +839,6 @@ def _reset_process_pool() -> None:
     parallel = sys.modules.get(__package__ + ".parallel")
     if parallel is not None:
         parallel.reset_process_pool()
-
-
-def _pool():
-    """The lazily-created process-wide shard executor (callers checked workers > 1)."""
-    global _shard_pool
-    with _shard_pool_lock:
-        if _shard_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _shard_pool = ThreadPoolExecutor(
-                max_workers=get_shard_workers(), thread_name_prefix=_POOL_THREAD_PREFIX
-            )
-        return _shard_pool
-
-
-def _in_pool_worker() -> bool:
-    """Whether the calling thread is one of the shard pool's own workers.
-
-    Nested shard-parallel work (a sharded store whose shards are themselves
-    sharded, or user callbacks that touch another sharded store) must not
-    re-enter the bounded pool: with every worker blocked waiting on nested
-    tasks that can never be scheduled, the pool deadlocks.  Nested levels
-    run sequentially inside the worker instead.
-    """
-    return threading.current_thread().name.startswith(_POOL_THREAD_PREFIX)
 
 
 class ShardedStore(Store):
@@ -955,10 +863,9 @@ class ShardedStore(Store):
 
     Derived stores (``select_mask``/``take``/``project``/``head``) preserve
     the shard structure: each surviving row stays in its shard, with
-    per-shard work fanned out through :meth:`map_shards` (thread pool when
-    the store is large and :func:`get_shard_workers` allows, sequential
-    otherwise).  The bit-identity contract is unchanged: values, types and
-    global row order match the row/column backends exactly.
+    per-shard work applied in shard order through :meth:`map_shards`.  The
+    bit-identity contract is unchanged: values, types and global row order
+    match the row/column backends exactly.
     """
 
     backend = "sharded"
@@ -1038,39 +945,17 @@ class ShardedStore(Store):
         return self._positions()[shard]
 
     def map_shards(
-        self,
-        fn: Callable[..., object],
-        *args_per_shard: Sequence[object],
-        parallel: Optional[bool] = None,
+        self, fn: Callable[..., object], *args_per_shard: Sequence[object]
     ) -> List[object]:
         """Apply ``fn(shard, ...)`` to every shard, returning results in shard order.
 
         Extra ``args_per_shard`` sequences are zipped alongside the shards
-        (one element per shard).  Runs on the bounded thread pool when the
-        store is large enough, :func:`get_shard_workers` resolves to more
-        than one worker and :func:`get_shard_executor` is not ``"serial"``;
-        ``parallel=True``/``False`` forces either path.  (Process-mode
-        execution does not route through here — arbitrary per-shard
-        callables cannot cross a process boundary; see :meth:`eval_mask`.)
+        (one element per shard).  Runs in shard order on the calling thread;
+        process-mode execution does not route through here — arbitrary
+        per-shard callables cannot cross a process boundary (see
+        :meth:`eval_mask`).
         """
-        shards = self._shards
-        if parallel is None:
-            parallel = (
-                _shard_executor != "serial"
-                and len(shards) > 1
-                and len(self._shard_of) >= _PARALLEL_MIN_ROWS
-                and get_shard_workers() > 1
-            )
-        if (
-            parallel
-            and len(shards) > 1
-            and get_shard_workers() > 1
-            # Re-entrant submission from a pool worker would deadlock the
-            # bounded pool; nested shard work runs sequentially instead.
-            and not _in_pool_worker()
-        ):
-            return list(_pool().map(fn, shards, *args_per_shard))
-        return [fn(*items) for items in zip(shards, *args_per_shard)]
+        return [fn(*items) for items in zip(self._shards, *args_per_shard)]
 
     # -- internal bookkeeping ------------------------------------------------
     @classmethod
@@ -1267,11 +1152,11 @@ class ShardedStore(Store):
 
     # -- whole-store evaluation ---------------------------------------------
     def _shard_masks(self, masker: Callable[[Store], Sequence[int]]) -> List[Sequence[int]]:
-        """Per-shard masks in shard-local order (process pool or thread fan-out).
+        """Per-shard masks in shard-local order (worker processes or serial).
 
         Ships the pickled masker (a compiled MaskProgram's bound
         ``run_part``, typically) to the worker processes holding this
-        store's shard buffers; falls through to the thread path for small
+        store's shard buffers; falls through to the serial path for small
         stores, unpicklable maskers, or when process execution is
         unavailable.
         """
@@ -1306,8 +1191,7 @@ class ShardedStore(Store):
     ) -> Tuple[bytearray, "ShardedStore"]:
         """Fused select+gather, shipped whole to the shard workers.
 
-        In process mode with :func:`get_shard_affinity` ``"on"``, each shard's
-        worker receives ``(pickled masker, output column positions, optional
+        In process mode, each shard's worker receives ``(pickled masker, output column positions, optional
         α-budget slice)`` in **one** task, evaluates the mask over its warm
         decoded store, gathers the surviving rows' columns locally, and ships
         back ``(mask bytes, packed typed-column payloads)`` — one boundary
@@ -1316,13 +1200,13 @@ class ShardedStore(Store):
         format).  The parent stitches the masks into global order and adopts
         the returned buffers as fresh per-shard column stores.
 
-        Every fallback — affinity off, thread/serial executors, small or
-        unpublishable stores — computes the identical result through
+        Every fallback — the serial executor, small or unpublishable
+        stores — computes the identical result through
         :meth:`_shard_masks` + per-shard :meth:`~Store.select_mask`, with the
         same per-shard truncation, so the conformance matrix proves
         equivalence across all paths.
         """
-        if _shard_executor == "process" and _shard_affinity == "on":
+        if _shard_executor == "process":
             from . import parallel
 
             fused = parallel.process_select_gather(
@@ -1352,7 +1236,7 @@ class ShardedStore(Store):
         ``gathered[i]`` is the shard's gathered column buffers, or ``None``
         when the worker short-circuited (every row survived, or there are no
         columns to gather) — those shards are materialized locally from the
-        parent's own copy, exactly as the thread fallback would.
+        parent's own copy, exactly as the serial fallback would.
         """
         from . import parallel
 

@@ -54,13 +54,14 @@ class ServingEnvelope:
             (misses) — deltas of
             :func:`repro.relational.parallel.affinity_stats` around the
             execution.  Both are 0 on a result-cache hit (nothing was
-            computed) and whenever the affinity router is inactive
-            (serial/thread executors, or ``set_shard_affinity("off")``).
+            computed) and whenever the computation did not reach the worker
+            processes (the serial executor, or a store below the
+            process-mode size threshold).
         dispatch_retries: process-dispatch retry rounds
             (:func:`repro.relational.parallel.dispatch_stats` delta) spent
-            computing this answer — 0 on cache hits and on the
-            serial/thread paths; non-zero means a worker failure was
-            absorbed by re-routing rather than surfacing to the client.
+            computing this answer — 0 on cache hits and on the serial
+            path; non-zero means a worker failure was absorbed by
+            re-routing rather than surfacing to the client.
     """
 
     result: QueryResult

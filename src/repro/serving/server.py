@@ -26,7 +26,7 @@ guarded wrappers — an erroring backend (or the ``serving.cache.get`` /
 the request recomputes.  When the process-executor circuit breaker
 (:func:`repro.relational.parallel.breaker_state`) is open or probing, the
 server steps served α one extra rung down (the *degraded-mode ladder*) so
-requests riding the slower thread fallback cost proportionally less; the
+requests riding the slower serial fallback cost proportionally less; the
 envelope reports ``degraded_reason`` and any dispatch retries spent.
 
 Thread-safe: one server instance is meant to be shared by many request
@@ -163,7 +163,7 @@ class QueryServer:
 
         Returns ``(served_alpha, reason)``.  Only the process executor
         routes through the breaker; when it is open (cooling down) or
-        half-open (probing), computation rides the slower thread fallback —
+        half-open (probing), computation rides the slower serial fallback —
         so the server halves the served α (floored at the admission
         ladder's bottom rung) to keep per-request cost bounded, exactly the
         paper's accuracy-for-resources trade applied to failure instead of

@@ -5,7 +5,7 @@ PR 5 routed ``Store.eval_mask`` through a process pool: compiled
 hold) are pickled and shipped to workers.  A lambda, a function defined
 inside another function, or a local class in a binder position pickles
 never — and the failure is silent, because the executor falls back to the
-thread path, quietly erasing the parallelism the caller asked for.
+serial path, quietly erasing the parallelism the caller asked for.
 
 The rule therefore guards two conventions:
 

@@ -1,7 +1,7 @@
 """STATE001 — module-level mutable state must be written behind a lock.
 
-The engine runs the same code from the shard thread pool, the process-pool
-parent, and worker initializers; a module-level dict/list/counter written
+The engine runs the same code from concurrent request threads, the
+process-pool parent, and worker initializers; a module-level dict/list/counter written
 from an arbitrary function is a data race waiting for the first concurrent
 query.  PRs 3–5 adopted a convention this rule makes structural: module
 state is written only
@@ -132,7 +132,7 @@ class SharedStateChecker(Checker):
                         write,
                         f"module-level mutable state {name!r} written outside a "
                         "lock or a designated setter; this races across the "
-                        "thread/process executor seam",
+                        "request threads and the process executor seam",
                     )
                 )
         return iter(findings)

@@ -5,12 +5,12 @@ Any test that takes a ``backend`` fixture argument is automatically
 parametrized over **every registered storage backend**
 (:func:`repro.relational.store.list_backends`) at collection time — row,
 column, the sharded defaults, the 1-/7-shard variants registered below, and
-any backend a later PR registers at import time — **crossed with the shard
-executors** that matter for that platform: every backend case runs under
-the default ``"thread"`` executor and again under ``"process"`` (the
-process-pool/shared-memory executor of :mod:`repro.relational.parallel`),
-with the process-mode size threshold forced to 1 so even the small test
-relations genuinely round-trip through worker processes.  Use
+any backend registered at import time — **crossed with both shard
+executors**: every backend case runs under the default ``"serial"``
+executor and again under ``"process"`` (the worker-process/shared-memory
+executor of :mod:`repro.relational.parallel`), with the process-mode size
+threshold forced to 1 so even the small test relations genuinely
+round-trip through worker processes.  Use
 :func:`assert_identical` / :func:`to_backend` to phrase differential
 assertions against the row-backed reference.
 """
@@ -49,16 +49,16 @@ for _name, _cls in (
     if _name not in list_backends():
         register_backend(_name, _cls)
 
-# Shard-parallel execution needs more than one worker to engage; single-core
-# CI boxes would otherwise silently test the sequential fallback only.
+# Process execution needs more than one worker to engage; single-core CI
+# boxes would otherwise silently test the serial fallback only.
 if get_shard_workers() < 2:
     set_shard_workers(2)
 
-# One process pool for the whole session (probing spawns it); when the
-# platform cannot run worker processes at all, the matrix collapses to the
-# thread executor instead of failing every process leg.
+# One set of worker processes for the whole session (probing spawns the
+# first); when the platform cannot run worker processes at all, the matrix
+# collapses to the serial executor instead of failing every process leg.
 SHARD_EXECUTORS = (
-    ("thread", "process") if parallel.probe_process_executor() else ("thread",)
+    ("serial", "process") if parallel.probe_process_executor() else ("serial",)
 )
 
 

@@ -3,7 +3,7 @@
 import os
 
 _chunk_rows = 4096
-_mode = "thread"
+_mode = "serial"
 
 
 def _parse_worker_count(name):
@@ -28,7 +28,7 @@ def set_chunk_rows(count):
 
 
 def _validate_mode(mode):
-    if mode not in ("serial", "thread", "process"):
+    if mode not in ("serial", "process"):
         raise ValueError(f"unknown mode {mode!r}")
     return mode
 
@@ -54,16 +54,16 @@ _cache_backend = _parse_choice("REPRO_SERVING_CACHE", ("lru-ttl", "none"), "lru-
 _policy = _parse_choice(
     "REPRO_SERVING_POLICY", ("reject", "queue", "degrade-alpha"), "queue"
 )
-# Affinity-routing knob vocabulary: a documented on/off env override read
+# Shard-executor knob vocabulary: a documented choice env override read
 # through the same parameterized helper, plus a validated setter.
-_affinity = _parse_choice("REPRO_SHARD_AFFINITY", ("on", "off"), "on")
+_executor = _parse_choice("REPRO_SHARD_EXECUTOR", ("serial", "process"), "serial")
 
 
-def set_affinity(mode):
-    global _affinity
-    if mode not in ("on", "off"):
-        raise ValueError(f"affinity mode must be 'on' or 'off', got {mode!r}")
-    _affinity = mode
+def set_executor(mode):
+    global _executor
+    if mode not in ("serial", "process"):
+        raise ValueError(f"executor must be 'serial' or 'process', got {mode!r}")
+    _executor = mode
 
 
 def set_admission_policy(policy):

@@ -1,21 +1,26 @@
 """Sticky shard→worker affinity routing and the fused select+gather operator.
 
 Covers the routing table itself (deterministic rendezvous mapping, work
-stealing, slot repair after worker death), the knobs
-(``set_shard_affinity`` / ``REPRO_SHARD_AFFINITY``, the probe timeout), the
-warm-cache contract (a repeated query rebuilds zero decoded stores and zero
-kernel indexes), and bit-identity of the fused ``select_gather`` path —
-with and without per-shard α-budget slices — against the serial reference.
+stealing, slot repair after worker death, a repaired slot's wedged worker
+not holding up interpreter exit), the probe timeout, the warm-cache
+contract (a repeated query rebuilds zero decoded stores and zero kernel
+indexes), and bit-identity of the fused ``select_gather`` path — with and
+without per-shard α-budget slices — against the serial reference.
 
-The shared-pool (non-router) failure paths stay covered in
+Dispatch failure paths through the public entry points stay covered in
 ``test_parallel.py``; here the router is the subject.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -26,14 +31,9 @@ from repro.relational.kdtree import KDForest
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.store import (
-    AFFINITY_MODES,
-    DEFAULT_SHARD_AFFINITY,
-    _env_affinity_mode,
     _truncate_mask,
-    get_shard_affinity,
     get_shard_executor,
     get_shard_workers,
-    set_shard_affinity,
     set_shard_executor,
     set_shard_workers,
     shard_budget_slices,
@@ -72,13 +72,11 @@ def store_rows(store):
 @pytest.fixture
 def affinity_guard():
     """Snapshot and restore every knob these tests may flip."""
-    previous_affinity = get_shard_affinity()
     previous_executor = get_shard_executor()
     previous_min = parallel.get_process_min_rows()
     previous_workers = get_shard_workers()
     previous_probe = parallel.get_probe_timeout()
     yield
-    set_shard_affinity(previous_affinity)
     set_shard_executor(previous_executor)
     parallel.set_process_min_rows(
         None if previous_min == parallel.DEFAULT_PROCESS_MIN_ROWS else previous_min
@@ -95,44 +93,8 @@ def force_process():
 
 
 # ---------------------------------------------------------------------------
-# Knobs: set_shard_affinity / REPRO_SHARD_AFFINITY / probe timeout
+# Probe timeout
 # ---------------------------------------------------------------------------
-
-class TestAffinityKnob:
-    def test_modes_tuple_and_default(self):
-        assert AFFINITY_MODES == ("on", "off")
-        assert DEFAULT_SHARD_AFFINITY == "on"
-
-    def test_set_shard_affinity_validates(self):
-        for junk in ("sticky", "", "true", "ON ", 1, 0.5):
-            with pytest.raises(ValueError):
-                set_shard_affinity(junk)
-
-    def test_set_shard_affinity_roundtrip(self, affinity_guard):
-        previous = set_shard_affinity("off")
-        assert get_shard_affinity() == "off"
-        assert set_shard_affinity("off") == "off"  # same value: no-op
-        assert set_shard_affinity(None) == "off"  # None restores the default
-        assert get_shard_affinity() == DEFAULT_SHARD_AFFINITY
-        set_shard_affinity(previous)
-
-    def test_env_affinity_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_AFFINITY", raising=False)
-        assert _env_affinity_mode("REPRO_SHARD_AFFINITY") == DEFAULT_SHARD_AFFINITY
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", "  ")
-        assert _env_affinity_mode("REPRO_SHARD_AFFINITY") == DEFAULT_SHARD_AFFINITY
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", " Off ")
-        assert _env_affinity_mode("REPRO_SHARD_AFFINITY") == "off"
-        # The classic YAML gotcha: an unquoted `on` in a workflow file
-        # reaches the process as "true" — which must fail loudly, not be
-        # silently coerced to either mode.
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", "true")
-        with pytest.raises(ValueError):
-            _env_affinity_mode("REPRO_SHARD_AFFINITY")
-        monkeypatch.setenv("REPRO_SHARD_AFFINITY", "sticky")
-        with pytest.raises(ValueError):
-            _env_affinity_mode("REPRO_SHARD_AFFINITY")
-
 
 class TestProbeTimeout:
     def test_validates(self):
@@ -265,17 +227,12 @@ class TestRouter:
         }
 
     def test_ensure_router_lifecycle(self, affinity_guard):
-        set_shard_affinity("on")
         router = parallel._ensure_router()
         assert router is not None
         assert router.slot_count == get_shard_workers()
         assert parallel._ensure_router() is router  # memoized
         parallel.reset_process_pool()  # full re-hash: the router is discarded
         assert parallel._router is None
-        fresh = parallel._ensure_router()
-        assert fresh is not None and fresh is not router
-        set_shard_affinity("off")  # the kill switch: no router at all
-        assert parallel._ensure_router() is None
         assert parallel.affinity_stats() == {
             "hits": 0,
             "steals": 0,
@@ -283,14 +240,20 @@ class TestRouter:
             "reroutes": 0,
             "slots": 0,
         }
-        assert parallel.worker_cache_stats() is None
+        fresh = parallel._ensure_router()
+        assert fresh is not None and fresh is not router
+        # Slots whose pool never spawned report zeros without spawning one.
+        assert parallel.worker_cache_stats() == [
+            {"store_decodes": 0, "index_builds": 0}
+        ] * fresh.slot_count
+        assert all(slot.pool is None for slot in fresh._slots)
 
     def test_broken_slot_repairs_in_place_and_falls_back(
         self, affinity_guard, monkeypatch
     ):
         """Dead workers on the router repair only their slot: the query
-        falls back to threads (correct answer), the breaker takes a single
-        strike, and the repair is visible as a rehash."""
+        falls back to the serial path (correct answer), the breaker takes a
+        single strike, and the repair is visible as a rehash."""
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         set_shard_executor("serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
@@ -308,6 +271,60 @@ class TestRouter:
             parallel._pool_failures = failures_before
             monkeypatch.undo()
             parallel.reset_process_pool()
+
+
+# A child interpreter whose only process-mode query hits the dispatch
+# deadline: both workers sleep EXIT_HANG_SLEEP seconds, the query falls back
+# to the serial path after ~1 s, and the interpreter then has to exit with
+# the wedged workers' slots already repaired.
+EXIT_HANG_SLEEP = 40
+EXIT_HANG_CHILD = f"""
+from repro import faults
+from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Const
+from repro.relational import parallel
+from repro.relational.distance import NUMERIC
+from repro.relational.schema import Attribute, RelationSchema
+from repro.relational.store import ShardedStore, set_shard_executor, set_shard_workers
+
+schema = RelationSchema("t", [Attribute("x", NUMERIC)])
+condition = Comparison(AttrRef(None, "x"), CompareOp.LE, Const(30.0))
+store = ShardedStore.configured(2, "range").from_rows(1, [(float(i),) for i in range(64)])
+expected = bytes(condition.mask(store, schema))
+set_shard_executor("process")
+set_shard_workers(2)
+parallel.set_process_min_rows(1)
+parallel.set_dispatch_deadline(1.0)
+parallel.set_dispatch_retries(0)
+faults.set_fault_plan("seed=1;parallel.worker.slow:p=1,arg={EXIT_HANG_SLEEP}")
+assert bytes(condition.mask(store, schema)) == expected
+assert parallel.dispatch_stats()["timeouts"] >= 1
+print("answered")
+"""
+
+
+@needs_process
+def test_deadline_abandoned_worker_does_not_hang_exit():
+    """Repairing a slot kills its worker: an abandoned, still-sleeping
+    worker used to keep its pool's manager thread alive, which
+    ``concurrent.futures`` joins at exit — the interpreter then waited out
+    the whole sleep (or, for a truly wedged worker, forever)."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    started = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-c", EXIT_HANG_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=EXIT_HANG_SLEEP * 3,
+    )
+    elapsed = time.monotonic() - started
+    assert child.returncode == 0, child.stderr
+    assert "answered" in child.stdout
+    assert elapsed < EXIT_HANG_SLEEP / 2, f"child took {elapsed:.1f}s to exit"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Four layers of coverage for PR 10's failure-handling substrate:
   with the reason reported in the envelope.
 
 The whole-suite version of the same contract (kills at p=0.1 across every
-backend × executor) lives in ``benchmarks/bench_chaos.py`` and the
+backend × serial/process executor) lives in ``benchmarks/bench_chaos.py`` and the
 ``tests-chaos`` CI leg.
 """
 
@@ -383,7 +383,7 @@ class TestDispatchResilience:
         force_process()
         parallel.set_retry_backoff(0.0)
         # Every worker incarnation dies on its first task; retries re-route
-        # and respawn until the rounds run out, then the thread fallback
+        # and respawn until the rounds run out, then the serial fallback
         # serves the exact same bytes.
         faults.set_fault_plan("seed=5;parallel.worker.kill:at=1")
         try:
@@ -487,9 +487,9 @@ class TestServingResilience:
     ):
         server = QueryServer(tiny_beas)
         query = "SELECT e.eid, e.salary FROM emp e WHERE e.dept = 2"
-        set_shard_executor("process" if PROCESS_OK else "thread")
         if not PROCESS_OK:
             pytest.skip("process pool unavailable on this platform")
+        set_shard_executor("process")
         healthy = server.serve(query, alpha=0.5)
         assert healthy.served_alpha == 0.5
         assert healthy.degraded_reason is None

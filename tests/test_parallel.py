@@ -8,10 +8,10 @@ Three layers of coverage for :mod:`repro.relational.parallel`:
   minus the process boundary).
 * **End-to-end** — real pool round trips: masks, gathers, kernel batches and
   KD radius queries under ``executor="process"`` must be bit-identical to
-  the serial/thread paths, including after a shard mutation retires the
-  published segments.
-* **Property** — a hypothesis invariant that serial, thread and process
-  mask evaluation agree on None/NaN/mixed/string columns.
+  the serial path, including after a shard mutation retires the published
+  segments.
+* **Property** — a hypothesis invariant that serial and process mask
+  evaluation agree on None/NaN/mixed/string columns.
 
 The cross-backend conformance matrix in ``conftest.py`` additionally runs
 every ``backend``-fixture test under the process executor, so whole-query
@@ -124,15 +124,17 @@ class TestKnobs:
         with pytest.raises(ValueError):
             set_shard_executor("threads")  # typo must not silently misbehave
         with pytest.raises(ValueError):
+            set_shard_executor("thread")  # the thread executor is gone
+        with pytest.raises(ValueError):
             set_shard_executor("")
-        previous = set_shard_executor("serial")
+        previous = set_shard_executor("process")
+        assert get_shard_executor() == "process"
+        assert set_shard_executor(None) == "process"  # None restores the default
         assert get_shard_executor() == "serial"
-        assert set_shard_executor(None) == "serial"  # None restores the default
-        assert get_shard_executor() == "thread"
         set_shard_executor(previous)
 
     def test_executor_modes_tuple(self):
-        assert EXECUTOR_MODES == ("serial", "thread", "process")
+        assert EXECUTOR_MODES == ("serial", "process")
 
     def test_set_process_min_rows_validates(self, executor_guard):
         with pytest.raises(ValueError):
@@ -161,12 +163,13 @@ class TestKnobs:
 
     def test_env_executor_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARD_EXECUTOR", raising=False)
-        assert _env_executor_mode("REPRO_SHARD_EXECUTOR") == "thread"
+        assert _env_executor_mode("REPRO_SHARD_EXECUTOR") == "serial"
         monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "Process")
         assert _env_executor_mode("REPRO_SHARD_EXECUTOR") == "process"
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "gpu")
-        with pytest.raises(ValueError):
-            _env_executor_mode("REPRO_SHARD_EXECUTOR")
+        for retired in ("gpu", "thread"):
+            monkeypatch.setenv("REPRO_SHARD_EXECUTOR", retired)
+            with pytest.raises(ValueError):
+                _env_executor_mode("REPRO_SHARD_EXECUTOR")
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +322,13 @@ class TestWorkerInternals:
             parallel._WORKER_START_METHOD,
             store_module._shard_workers,
             store_module._shard_executor,
-            store_module._shard_pool,
         )
         try:
             parallel._worker_init("spawn")
             assert parallel._IN_PROCESS_WORKER is True
             assert parallel._WORKER_START_METHOD == "spawn"
             assert store_module._shard_workers == 1
-            assert store_module._shard_executor == "thread"
+            assert store_module._shard_executor == "serial"
             assert parallel._worker_ping() is True
             # A worker never spawns nested pools or publications.
             relation = Relation(SCHEMA, make_rows(50), backend="sharded")
@@ -337,7 +339,6 @@ class TestWorkerInternals:
                 parallel._WORKER_START_METHOD,
                 store_module._shard_workers,
                 store_module._shard_executor,
-                store_module._shard_pool,
             ) = saved
 
     @needs_process
@@ -462,25 +463,24 @@ class TestWorkerInternals:
         store.append((1, 1.0, 2.0))
         assert store._publication is None
 
-    @needs_process
-    def test_ensure_pool_is_race_free(self):
+    def test_ensure_router_is_race_free(self):
         import threading
 
         parallel.reset_process_pool()
-        pools = []
+        routers = []
         barrier = threading.Barrier(2)
 
         def create():
             barrier.wait()
-            pools.append(parallel._ensure_pool())
+            routers.append(parallel._ensure_router())
 
         threads = [threading.Thread(target=create) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert pools[0] is not None
-        assert pools[0] is pools[1]  # one shared pool, nothing leaked
+        assert routers[0] is not None
+        assert routers[0] is routers[1]  # one router, nothing leaked
 
     @needs_process
     def test_broken_pool_submission_falls_back(self, executor_guard, monkeypatch):
@@ -490,20 +490,24 @@ class TestWorkerInternals:
             def submit(self, *args, **kwargs):
                 raise BrokenProcessPool("boom")
 
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
+        parallel.reset_process_pool()
         failures_before = parallel._pool_failures
-        # Pin the shared-pool path: the affinity router's failure handling
-        # (slot repair) is covered separately in test_affinity.py.
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: None)
-        monkeypatch.setattr(parallel, "_ensure_pool", lambda: FakePool())
+        monkeypatch.setattr(
+            parallel._AffinityRouter, "_create_pool", staticmethod(FakePool)
+        )
         program = CONDITION.program(SCHEMA)
         assert parallel.process_eval_mask(relation.store, program.run_part) is None
         assert parallel._pool_failures == failures_before + 1
         assert parallel.probe_process_executor() is False
         monkeypatch.undo()
+        parallel.reset_process_pool()
         parallel._pool_failures = failures_before
-        # The thread fallback keeps the query correct throughout.
+        # The serial fallback keeps the query correct throughout.
         set_shard_executor("serial")
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
         set_shard_executor("process")
@@ -522,9 +526,15 @@ class TestWorkerInternals:
             def cancel(self):
                 return True
 
+            def add_done_callback(self, fn):
+                pass
+
         class CancellingPool:
             def submit(self, *args, **kwargs):
                 return CancelledFuture()
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
         force_process()
@@ -532,12 +542,18 @@ class TestWorkerInternals:
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
         set_shard_executor("process")
         failures_before = parallel._pool_failures
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: None)
-        monkeypatch.setattr(parallel, "_ensure_pool", lambda: CancellingPool())
-        # A concurrent reset cancelling the futures degrades to the thread
+        parallel.reset_process_pool()
+        monkeypatch.setattr(
+            parallel._AffinityRouter, "_create_pool", staticmethod(CancellingPool)
+        )
+        # A concurrent reset cancelling the futures degrades to the serial
         # path (correct answer) without counting against the breaker.
-        assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
-        assert parallel._pool_failures == failures_before
+        try:
+            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            assert parallel._pool_failures == failures_before
+        finally:
+            monkeypatch.undo()
+            parallel.reset_process_pool()
 
     @needs_process
     def test_success_resets_failure_breaker(self, executor_guard):
@@ -554,7 +570,7 @@ class TestWorkerInternals:
     def test_reset_pool_with_live_pool(self):
         assert parallel.probe_process_executor() is True  # ensures a live pool
         parallel.reset_process_pool()
-        assert parallel._pool is None
+        assert parallel._router is None
         assert parallel.probe_process_executor() is True  # respawns cleanly
 
 
@@ -571,7 +587,7 @@ class TestProcessExecution:
             set_shard_executor(mode)
             parallel.set_process_min_rows(1)
             masks[mode] = bytes(CONDITION.mask(relation.store, SCHEMA))
-        assert masks["serial"] == masks["thread"] == masks["process"]
+        assert masks["serial"] == masks["process"]
 
     def test_gather_identical_across_executors(self, executor_guard):
         relation = Relation(SCHEMA, make_rows(600), backend="sharded")
@@ -588,7 +604,7 @@ class TestProcessExecution:
         queries = [rows[i][:2] for i in range(0, 800, 31)]
         full = [rows[i] for i in range(0, 800, 57)]
 
-        set_shard_executor("thread")
+        set_shard_executor("serial")
         matcher = RadiusMatcher.from_store(relation.store, [0, 1], [TRIVIAL, NUMERIC], [0.0, 2.0])
         assert isinstance(matcher, ShardedRadiusMatcher)
         expected_matches = matcher.matches_many(queries)
@@ -639,7 +655,7 @@ class TestProcessExecution:
         rows = make_rows(400)
         relation = Relation(SCHEMA, rows, backend="sharded")
         queries = [(rows[i], [0.0, 4.0, 6.0]) for i in range(0, 400, 41)]
-        set_shard_executor("thread")
+        set_shard_executor("serial")
         expected = [
             sorted(hits)
             for hits in KDForest(relation, max_leaf_size=4).within_radius_indices_many(queries)
@@ -702,12 +718,15 @@ class TestProcessExecution:
         reference = bytes(CONDITION.mask(relation.store, SCHEMA))
 
         # A pool that cannot be created: every process attempt falls back.
-        # (Router pinned off so the shared-pool creation failure is what runs.)
-        monkeypatch.setattr(parallel, "_ensure_router", lambda: None)
-        monkeypatch.setattr(parallel, "_ensure_pool", lambda: None)
+        def no_pool():
+            raise OSError("cannot spawn worker processes")
+
+        parallel.reset_process_pool()
+        monkeypatch.setattr(parallel._AffinityRouter, "_create_pool", staticmethod(no_pool))
         assert parallel.process_eval_mask(relation.store, CONDITION.program(SCHEMA).run_part) is None
         assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
         monkeypatch.undo()
+        parallel.reset_process_pool()
 
         # Repeated infrastructure failures trip the breaker...
         for _ in range(parallel._MAX_POOL_FAILURES):
@@ -745,7 +764,7 @@ class TestProcessExecution:
         with pytest.raises(RuntimeError, match="application bug"):
             relation.store.eval_mask(_raising_masker)
         # A computation's own error is not an infrastructure failure: it
-        # must not count toward the breaker or silently re-run on threads.
+        # must not count toward the breaker or silently re-run serially.
         assert parallel._pool_failures == failures_before
 
 
@@ -773,8 +792,8 @@ MIXED_CONDITION = Conjunction.of(
 @settings(max_examples=25, deadline=None)
 @given(rows=st.lists(st.tuples(VALUES, VALUES), min_size=0, max_size=40))
 def test_executors_agree_on_mixed_columns(rows):
-    """Serial, thread and process mask evaluation are bit-identical on
-    None/NaN/mixed/string columns (the satellite hypothesis property)."""
+    """Serial and process mask evaluation are bit-identical on
+    None/NaN/mixed/string columns (the hypothesis property)."""
     cls = ShardedStore.configured(3, "round_robin")
     store = cls.from_rows(2, rows)
     previous_mode = get_shard_executor()
@@ -784,7 +803,7 @@ def test_executors_agree_on_mixed_columns(rows):
         for mode in EXECUTOR_MODES:
             set_shard_executor(mode)
             results[mode] = bytes(MIXED_CONDITION.mask(store, MIXED_SCHEMA))
-        assert results["serial"] == results["thread"] == results["process"]
+        assert results["serial"] == results["process"]
     finally:
         set_shard_executor(previous_mode)
         parallel.set_process_min_rows(previous_min)

@@ -9,7 +9,7 @@ The load-bearing guarantees under test:
 * **Invalidation by key rotation** — mutating any relation advances the
   database's publication epoch, so the result cache can never serve a
   pre-mutation answer afterwards, on every storage backend under both the
-  serial and thread shard executors.
+  serial and process shard executors.
 * **Admission policies** — reject sheds, queue blocks, degrade-alpha steps
   α down the documented ladder and reports the served α and η.
 """
@@ -23,11 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_identical, to_backend
+from conftest import SHARD_EXECUTORS, assert_identical, to_backend
 from repro import Beas, QueryServer, parse_query, query_fingerprint
 from repro.algebra import predicates
 from repro.algebra.ast import Scan
 from repro.errors import QueryError, ServerOverloadedError, ServingError
+from repro.relational import parallel
 from repro.relational.store import list_backends, set_shard_executor
 from repro.serving import (
     ALPHA_DEGRADE_LADDER,
@@ -641,7 +642,7 @@ class TestQueryServer:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", SHARD_EXECUTORS)
 @pytest.mark.parametrize("backend_name", sorted(set(list_backends())))
 def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     """The result cache never serves a pre-mutation answer after a mutation.
@@ -653,6 +654,9 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
     from repro import ConstraintSpec
 
     previous = set_shard_executor(executor)
+    # Process legs drop the size threshold so the tiny relations really
+    # publish to (and retire from) the worker processes.
+    previous_min_rows = parallel.set_process_min_rows(1) if executor == "process" else None
     try:
         db = to_backend(tiny_db, backend_name)
         beas = Beas(
@@ -680,6 +684,8 @@ def test_mutation_invalidates_result_cache(tiny_db, backend_name, executor):
         assert cold.fingerprint == post.fingerprint  # same query, new epoch
     finally:
         set_shard_executor(previous)
+        if previous_min_rows is not None:
+            parallel.set_process_min_rows(previous_min_rows)
 
 
 def test_plan_cache_survives_budget_preserving_append(tiny_beas):
