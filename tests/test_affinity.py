@@ -273,6 +273,87 @@ class TestRouter:
             parallel.reset_process_pool()
 
 
+# ---------------------------------------------------------------------------
+# One path per executor mode: serial never spawns, process always routes
+# ---------------------------------------------------------------------------
+
+class TestOnePathPerMode:
+    def test_serial_executor_spawns_no_workers(self, affinity_guard):
+        relation = Relation(SCHEMA, make_rows(1500), backend="sharded")
+        parallel.reset_process_pool()
+        set_shard_executor("serial")
+        parallel.set_process_min_rows(1)
+        gathers_before = parallel.select_gather_stats()
+        dispatch_before = parallel.dispatch_stats()
+        CONDITION.mask(relation.store, SCHEMA)
+        relation.store.select_gather(CONDITION.program(SCHEMA).run_part)
+        forest = KDForest(relation, max_leaf_size=4)
+        forest.within_radius_indices_many([(relation.store.row(0), [0.0, 5.0, 5.0])])
+        assert parallel._router is None
+        assert parallel.affinity_stats()["slots"] == 0
+        assert parallel.select_gather_stats() == gathers_before
+        assert parallel.dispatch_stats() == dispatch_before
+
+    @needs_process
+    def test_process_dispatch_always_goes_through_router(self, affinity_guard):
+        relation = Relation(SCHEMA, make_rows(2000), backend="sharded")
+        shard_count = len(relation.store.shards)
+        set_shard_executor("serial")
+        reference = bytes(CONDITION.mask(relation.store, SCHEMA))
+        force_process()
+        parallel.reset_process_pool()
+        try:
+            assert bytes(CONDITION.mask(relation.store, SCHEMA)) == reference
+            stats = parallel.affinity_stats()
+            assert stats["slots"] == get_shard_workers()
+            # Every shard's task was placed by the router, on its home slot
+            # or stolen by an idle one.
+            assert stats["hits"] + stats["steals"] == shard_count
+        finally:
+            parallel.reset_process_pool()
+
+
+# The retired on/off switch must not resurrect the router-less path: a child
+# interpreter started with REPRO_SHARD_AFFINITY=off still routes every shard.
+STALE_AFFINITY_CHILD = """
+from repro.algebra.predicates import AttrRef, CompareOp, Comparison, Const
+from repro.relational import parallel
+from repro.relational.distance import NUMERIC
+from repro.relational.schema import Attribute, RelationSchema
+from repro.relational.store import ShardedStore, set_shard_executor, set_shard_workers
+
+schema = RelationSchema("t", [Attribute("x", NUMERIC)])
+condition = Comparison(AttrRef(None, "x"), CompareOp.LE, Const(30.0))
+store = ShardedStore.configured(2, "range").from_rows(1, [(float(i),) for i in range(64)])
+expected = bytes(condition.mask(store, schema))
+set_shard_executor("process")
+set_shard_workers(2)
+parallel.set_process_min_rows(1)
+assert bytes(condition.mask(store, schema)) == expected
+stats = parallel.affinity_stats()
+print("routed", stats["slots"], stats["hits"] + stats["steals"])
+"""
+
+
+@needs_process
+def test_stale_affinity_env_still_routes():
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_SHARD_AFFINITY"] = "off"
+    child = subprocess.run(
+        [sys.executable, "-c", STALE_AFFINITY_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "routed 2 2" in child.stdout
+
+
 # A child interpreter whose only process-mode query hits the dispatch
 # deadline: both workers sleep EXIT_HANG_SLEEP seconds, the query falls back
 # to the serial path after ~1 s, and the interpreter then has to exit with

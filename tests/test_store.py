@@ -15,6 +15,8 @@ future PR registers at import time, automatically.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import Beas, Database, Relation, parse_query
@@ -266,6 +268,32 @@ class TestShardedStore:
                 )
             )
             assert list(mask) == [1 if (i % 7) > 3 else 0 for i in range(40)]
+
+    def test_map_shards_runs_in_shard_order_on_calling_thread(self):
+        cls = ShardedStore.configured(4, "round_robin")
+        store = cls.from_rows(2, [(i, float(i)) for i in range(500)])
+        caller = threading.get_ident()
+        visited = []
+
+        def size(shard):
+            visited.append((shard, threading.get_ident()))
+            return len(shard)
+
+        assert store.map_shards(size) == [len(s) for s in store.shards]
+        assert [id(shard) for shard, _ in visited] == [id(s) for s in store.shards]
+        assert all(ident == caller for _, ident in visited)
+
+    def test_map_shards_zips_per_shard_args(self):
+        cls = ShardedStore.configured(3, "range")
+        store = cls.from_rows(2, [(i, float(i)) for i in range(30)])
+        counts = [1, 0, 2]
+        offsets = [100, 200, 300]
+        heads = store.map_shards(lambda shard, c: shard.head(c), counts)
+        assert [len(head) for head in heads] == counts
+        tagged = store.map_shards(
+            lambda shard, c, o: o + len(shard.head(c)), counts, offsets
+        )
+        assert tagged == [101, 200, 302]
 
     def test_shard_worker_configuration(self):
         previous = set_shard_workers(3)
